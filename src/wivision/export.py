@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import functools
+import operator
+
 import numpy as np
 
 from .arraymodel import N_ANGLE_BINS
@@ -34,15 +37,24 @@ def write_pgm(spec: Spectrum2D, path) -> None:
         fh.write(raster.tobytes())
 
 
+@functools.cache
+def _csv_row_prefixes() -> tuple[str, ...]:
+    """``"azimuth,elevation,"`` of every CSV row, in the row-major order of the grid."""
+    return tuple(f"{a},{e}," for a in range(1, N_ANGLE_BINS + 1)
+                 for e in range(1, N_ANGLE_BINS + 1))
+
+
 def write_spectrum_csv(spec: Spectrum2D, path) -> None:
-    """CSV with header ``azimuth,elevation,power``, one row per bin."""
-    az = np.repeat(np.arange(1, N_ANGLE_BINS + 1), N_ANGLE_BINS)
-    el = np.tile(np.arange(1, N_ANGLE_BINS + 1), N_ANGLE_BINS)
-    power = spec.grid.reshape(-1)
+    """CSV with header ``azimuth,elevation,power``, one row per bin.
+
+    Powers are written with ``repr``, the shortest string that reads back to
+    the same float.
+    """
+    powers = map(repr, spec.grid.reshape(-1).tolist())
     with open(path, "w", encoding="ascii") as fh:
         fh.write("azimuth,elevation,power\n")
-        for a, e, p in zip(az, el, power):
-            fh.write(f"{a},{e},{float(p)!r}\n")
+        fh.write("\n".join(map(operator.add, _csv_row_prefixes(), powers)))
+        fh.write("\n")
 
 
 def read_spectrum_csv(path, timestamp_ns: int = 0) -> Spectrum2D:

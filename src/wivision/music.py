@@ -7,21 +7,27 @@ noise-subspace extraction, and a spatial-spectrum scan
 
 reduced over the (tof, aod) grid to a 180 x 180 angle image.
 
-Two implementation notes that matter for speed on the 810-element virtual
+Three implementation notes that matter for speed on the 810-element virtual
 array:
 
+* Windows are read-only views into one vectorized copy of the stream.
 * With far fewer snapshots than array elements the covariance is rank
-  deficient, so the signal basis is taken from a thin SVD of the snapshot
-  matrix and the noise projection is evaluated implicitly as
+  deficient, so the signal basis comes from the method of snapshots
+  (Sirovich 1987): the small window_len x window_len Gram matrix X^H X is
+  eigendecomposed and only the kept eigenvectors are lifted to the array,
+  U = X V Lambda^(-1/2).  The noise projection is evaluated implicitly as
   ``|a|^2 - |E_S^H a|^2``; the 700-odd noise eigenvectors are never formed.
 * The scan never materializes steering vectors.  Basis columns are contracted
-  against the tx and subcarrier factor vectors per (tof, aod) grid point,
-  collapsed to a 9 x 9 Hermitian form, and the per-bin quadratic form is a
-  real matrix product against a cached table of rx-factor pair products.
+  against the tx and subcarrier factor vectors per (tof, aod) grid point and
+  collapsed to a 9 x 9 Hermitian form.  The per-bin denominators of a chunk
+  of angle bins are then one real matrix product of a cached table of
+  rx-factor pair products against those forms, followed by in-place clip,
+  reciprocal and reduction.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -104,7 +110,11 @@ def vectorize_frames(tensors: np.ndarray) -> np.ndarray:
 
 def windows(stream: CsiStream, window_len: int = DEFAULT_WINDOW_LEN,
             stride: int = DEFAULT_STRIDE) -> list[SnapshotWindow]:
-    """Overlapping snapshot windows; empty (with a log note) if the stream is short."""
+    """Overlapping snapshot windows; empty (with a log note) if the stream is short.
+
+    Window matrices are read-only views into one vectorized copy of the stream,
+    so overlapping windows share memory.
+    """
     if window_len < 1 or stride < 1:
         raise ValueError("window_len and stride must be >= 1")
     n = len(stream)
@@ -113,13 +123,12 @@ def windows(stream: CsiStream, window_len: int = DEFAULT_WINDOW_LEN,
                        "no windows produced", n, window_len)
         return []
     rows = vectorize_frames(stream.stack())
+    # views[start] is the (dim, window_len) matrix of packets start.. as columns
+    views = np.lib.stride_tricks.sliding_window_view(rows, window_len, axis=0)
     ts = stream.timestamps_ns
-    out = []
-    for start in range(0, n - window_len + 1, stride):
-        block = rows[start:start + window_len]
-        out.append(SnapshotWindow(np.ascontiguousarray(block.T), window_len, stride,
-                                  timestamp_ns=int(ts[start + window_len - 1])))
-    return out
+    return [SnapshotWindow(views[start], window_len, stride,
+                           timestamp_ns=int(ts[start + window_len - 1]))
+            for start in range(0, n - window_len + 1, stride)]
 
 
 def covariance(window: SnapshotWindow) -> np.ndarray:
@@ -210,6 +219,24 @@ class NoiseSubspace:
         return float(np.vdot(v, v).real - np.vdot(proj, proj).real)
 
 
+def _split_subspace(lam: np.ndarray, dim: int, s_hat: int | None, bases, *,
+                    method: str, n_snapshots: int | None) -> NoiseSubspace:
+    """Shared tail of the subspace routines: count sources, check, build.
+
+    ``lam`` holds the descending covariance eigenvalues and ``bases(s_hat)``
+    returns the (dim, s_hat) signal basis plus the noise basis, or None to
+    leave the noise basis to be formed on demand.
+    """
+    if s_hat is None:
+        s_hat = estimate_source_count(lam, method=method, n_snapshots=n_snapshots)
+    if s_hat >= dim:
+        raise ValueError(f"s_hat={s_hat} leaves no noise subspace (dim {dim})")
+    if s_hat < 0:
+        raise ValueError(f"s_hat must be >= 0, got {s_hat}")
+    signal, noise = bases(s_hat)
+    return NoiseSubspace(signal, s_hat, eigenvalues=lam, noise_basis=noise)
+
+
 def noise_subspace(r: np.ndarray, s_hat: int | None = None, *,
                    method: str = "threshold",
                    n_snapshots: int | None = None) -> NoiseSubspace:
@@ -221,32 +248,42 @@ def noise_subspace(r: np.ndarray, s_hat: int | None = None, *,
     lam, vec = np.linalg.eigh(r)
     lam = lam[::-1]
     vec = vec[:, ::-1]
-    if s_hat is None:
-        s_hat = estimate_source_count(lam, method=method, n_snapshots=n_snapshots)
-    if s_hat >= dim:
-        raise ValueError(f"s_hat={s_hat} leaves no noise subspace (dim {dim})")
-    if s_hat < 0:
-        raise ValueError(f"s_hat must be >= 0, got {s_hat}")
-    return NoiseSubspace(vec[:, :s_hat], s_hat, eigenvalues=lam,
-                         noise_basis=np.ascontiguousarray(vec[:, s_hat:]))
+    return _split_subspace(lam, dim, s_hat,
+                           lambda s: (vec[:, :s], np.ascontiguousarray(vec[:, s:])),
+                           method=method, n_snapshots=n_snapshots)
 
 
 def noise_subspace_from_window(window: SnapshotWindow, s_hat: int | None = None, *,
                                method: str = "threshold") -> NoiseSubspace:
-    """Signal/noise split from the snapshot matrix via thin SVD.
+    """Signal/noise split from the snapshot matrix by the method of snapshots.
 
     Equivalent to :func:`noise_subspace` of the sample covariance but never
     forms the dim x dim matrix; preferred for the full-size virtual array.
+    The Gram matrix is taken on the smaller side of X.  For a short window
+    the eigenvectors V of X^H X are lifted to the signal basis X V; a QR
+    factorization normalizes those columns (the U = X V Lambda^(-1/2) of the
+    thin SVD, up to phase) and completes columns whose eigenvalue is zero or
+    negligible to a finite orthonormal basis.  For a window longer than dim,
+    X X^H is eigendecomposed directly.
     """
-    u, sv, _ = np.linalg.svd(window.matrix, full_matrices=False)
-    lam = sv ** 2 / window.window_len
-    if s_hat is None:
-        s_hat = estimate_source_count(lam, method=method, n_snapshots=window.window_len)
-    if s_hat >= window.dim:
-        raise ValueError(f"s_hat={s_hat} leaves no noise subspace (dim {window.dim})")
-    if s_hat < 0:
-        raise ValueError(f"s_hat must be >= 0, got {s_hat}")
-    return NoiseSubspace(np.ascontiguousarray(u[:, :s_hat]), s_hat, eigenvalues=lam)
+    x = window.matrix
+    n = window.window_len
+    short = n <= window.dim
+    xh = x.conj().T
+    gram_lam, gram_vec = np.linalg.eigh(xh @ x if short else x @ xh)
+    gram_lam = gram_lam[::-1]
+    gram_vec = gram_vec[:, ::-1]
+    lam = np.clip(gram_lam, 0.0, None) / n
+
+    def bases(s):
+        if not short:
+            return gram_vec[:, :s], None
+        lifted = np.zeros((window.dim, s), dtype=complex)
+        kept = min(s, n)
+        np.matmul(x, gram_vec[:, :kept], out=lifted[:, :kept])
+        return np.linalg.qr(lifted)[0], None
+
+    return _split_subspace(lam, window.dim, s_hat, bases, method=method, n_snapshots=n)
 
 
 @dataclass
@@ -275,36 +312,35 @@ class Spectrum2D:
         return int(i) + 1, int(j) + 1
 
 
-# Cached per (carrier, rx positions): upper-triangle rx-factor pair products
-# over all 180*180 angle bins, split into real and imaginary parts.
-_PAIR_TABLE_CACHE: dict = {}
+@functools.lru_cache(maxsize=8)
+def _pair_table(carrier_hz: float, speed_of_light: float, rx_bytes: bytes) -> np.ndarray:
+    """Read-only (bins, 2 * n_pairs) table ``[Qr | Qi]`` for one carrier and rx layout.
 
-
-def _rx_pair_tables(cfg: ChannelConfig, geom: ArrayGeometry):
-    key = (cfg.carrier_hz, cfg.speed_of_light, geom.rx_positions.tobytes())
-    hit = _PAIR_TABLE_CACHE.get(key)
-    if hit is not None:
-        return hit
+    Q holds the upper-triangle rx-factor pair products over all 180*180 angle
+    bins; the real and imaginary parts sit side by side so a scan chunk needs
+    one matrix product.  ``speed_of_light`` is fixed by ``ChannelConfig`` and
+    only keys the cache.
+    """
+    geom = ArrayGeometry(np.frombuffer(rx_bytes).reshape(-1, 3))
     angles = np.arange(1, N_ANGLE_BINS + 1, dtype=float)
     az = np.repeat(angles, N_ANGLE_BINS)
     el = np.tile(angles, N_ANGLE_BINS)
-    table = rx_factors(cfg, geom, az, el)          # (bins, n_rx), unit magnitude
+    table = rx_factors(ChannelConfig(carrier_hz), geom, az, el)  # (bins, n_rx), unit magnitude
     iu, il = np.triu_indices(geom.n_rx, 1)
     pairs = table[:, iu] * table[:, il].conj()
-    entry = (np.ascontiguousarray(pairs.real), np.ascontiguousarray(pairs.imag), iu, il)
-    if len(_PAIR_TABLE_CACHE) > 8:
-        _PAIR_TABLE_CACHE.clear()
-    _PAIR_TABLE_CACHE[key] = entry
-    return entry
+    stacked = np.concatenate([pairs.real, pairs.imag], axis=1)
+    stacked.setflags(write=False)
+    return stacked
 
 
 def _basis_pair_forms(basis: np.ndarray, cfg: ChannelConfig, geom: ArrayGeometry,
-                      grids: GridSpec, iu: np.ndarray, il: np.ndarray):
+                      grids: GridSpec):
     """Collapse basis columns into per-(tof, aod) n_rx x n_rx Hermitian forms.
 
-    Returns (diag_sums, pair_real, pair_imag) where for each grid point w the
-    per-bin projected power is diag_sums[w] + 2 * (Qr @ pair_real[:, w]
-    - Qi @ pair_imag[:, w]) with Q the rx pair-product table.
+    Returns (diag_sums, h) where for each grid point w the per-bin projected
+    power is diag_sums[w] - [Qr | Qi] @ h[:, w] with [Qr | Qi] the rx
+    pair-product table, i.e. h stacks -2 Re and 2 Im of the upper-triangle
+    form entries.
     """
     n_rx, n_tx, n_su = geom.n_rx, geom.n_tx, geom.n_subcarriers
     a_tx = tx_factors(cfg, n_tx, grids.aod_grid_deg)          # (n_w, n_tx)
@@ -318,8 +354,9 @@ def _basis_pair_forms(basis: np.ndarray, cfg: ChannelConfig, geom: ArrayGeometry
     g = g.transpose(2, 3, 0, 1).reshape(n_t * n_w, n_rx, cols)
     h = g @ g.conj().transpose(0, 2, 1)                       # (wt, rx, rx)
     diag_sums = np.einsum("wkk->w", h).real
-    hv = h[:, iu, il]                                         # (wt, n_pairs)
-    return diag_sums, np.ascontiguousarray(hv.real.T), np.ascontiguousarray(hv.imag.T)
+    iu, il = np.triu_indices(n_rx, 1)
+    hv = h[:, iu, il].T                                       # (n_pairs, wt)
+    return diag_sums, np.concatenate([-2.0 * hv.real, 2.0 * hv.imag])
 
 
 def spectrum(subspace: NoiseSubspace, grids: GridSpec | None, cfg: ChannelConfig,
@@ -330,7 +367,8 @@ def spectrum(subspace: NoiseSubspace, grids: GridSpec | None, cfg: ChannelConfig
     For every angle bin the spatial spectrum 1 / (a^H E_N E_N^H a) is evaluated
     on the full (tof, aod) grid via the Kronecker factorization of the steering
     vector and reduced with ``sum`` (default) or ``max``.  Output is identical
-    for any ``threads`` value; threads only split the angle bins.
+    for any ``threads`` value; threads only split the angle bins, in fixed
+    chunks that each thread evaluates in its own buffer.
     """
     if grids is None:
         grids = GridSpec()
@@ -343,7 +381,7 @@ def spectrum(subspace: NoiseSubspace, grids: GridSpec | None, cfg: ChannelConfig
         raise ValueError(f"subspace dimension {subspace.dim} does not match "
                          f"geometry dimension {dim}")
 
-    qr, qi, iu, il = _rx_pair_tables(cfg, geom)
+    table = _pair_table(cfg.carrier_hz, cfg.speed_of_light, geom.rx_positions.tobytes())
     basis = subspace.signal_basis
 
     n_bins = N_ANGLE_BINS * N_ANGLE_BINS
@@ -357,26 +395,29 @@ def spectrum(subspace: NoiseSubspace, grids: GridSpec | None, cfg: ChannelConfig
                    if reduce == "sum" else value)
         return Spectrum2D(image.reshape(N_ANGLE_BINS, N_ANGLE_BINS), timestamp_ns)
 
-    diag_sums, hr, hi = _basis_pair_forms(basis, cfg, geom, grids, iu, il)
+    diag_sums, h = _basis_pair_forms(basis, cfg, geom, grids)
+    offset = dim - diag_sums
+    reducer = np.sum if reduce == "sum" else np.max
 
-    def run_chunk(start: int):
-        stop = min(start + _CHUNK_BINS, n_bins)
-        power = qr[start:stop] @ hr
-        power -= qi[start:stop] @ hi
-        power *= 2.0
-        power += diag_sums
-        den = dim - power
-        np.clip(den, floor, None, out=den)
-        p = 1.0 / den
-        image[start:stop] = p.sum(axis=1) if reduce == "sum" else p.max(axis=1)
+    def run_chunks(starts):
+        # den = dim - power = (dim - diag_sums) + table @ h, then 1 / den reduced
+        buf = np.empty((_CHUNK_BINS, h.shape[1]))
+        for start in starts:
+            stop = min(start + _CHUNK_BINS, n_bins)
+            den = buf[:stop - start]
+            np.matmul(table[start:stop], h, out=den)
+            den += offset
+            np.clip(den, floor, None, out=den)
+            np.reciprocal(den, out=den)
+            reducer(den, axis=1, out=image[start:stop])
 
     starts = range(0, n_bins, _CHUNK_BINS)
     if threads == 1:
-        for s in starts:
-            run_chunk(s)
+        run_chunks(starts)
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run_chunk, starts))
+            for done in [pool.submit(run_chunks, starts[i::threads]) for i in range(threads)]:
+                done.result()
     return Spectrum2D(image.reshape(N_ANGLE_BINS, N_ANGLE_BINS), timestamp_ns)
 
 

@@ -131,6 +131,25 @@ class TestSpectrumExport:
         back = read_spectrum_csv(path)
         np.testing.assert_array_equal(back.grid, spec.grid)
 
+    def test_csv_bytes_match_row_loop(self, tmp_path, rng):
+        # the original one-row-at-a-time writer is the byte-level oracle
+        def row_loop(spec, path):
+            az = np.repeat(np.arange(1, 181), 180)
+            el = np.tile(np.arange(1, 181), 180)
+            with open(path, "w", encoding="ascii") as fh:
+                fh.write("azimuth,elevation,power\n")
+                for a, e, p in zip(az, el, spec.grid.reshape(-1)):
+                    fh.write(f"{a},{e},{float(p)!r}\n")
+
+        grid = rng.uniform(0, 9, (180, 180))
+        # 1.8e308 itself overflows to inf, which Spectrum2D rejects; the largest
+        # finite double stands in for it
+        grid.flat[:6] = [0.0, 1e-05, 3.0, 1e16, 5e-324, 1.7976931348623157e308]
+        spec = Spectrum2D(grid)
+        write_spectrum_csv(spec, tmp_path / "fast.csv")
+        row_loop(spec, tmp_path / "loop.csv")
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "loop.csv").read_bytes()
+
     def test_export_dispatcher(self, tmp_path, rng):
         from wivision import export_spectrum
         spec = Spectrum2D(rng.uniform(0, 9, (180, 180)))

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from wivision import (
     GridSpec,
@@ -22,7 +23,8 @@ from wivision import (
     windows,
 )
 from wivision import inject_phase_offsets
-from wivision.music import estimate_source_count
+from wivision.music import _pair_table, estimate_source_count, vectorize_frames
+from wivision.simulate import six_reflector_scene
 
 
 def jittered_paths(specs):
@@ -73,6 +75,20 @@ class TestWindows:
         w = windows(stream, 5, 5)[0]
         expected = virtual_steering_vector(cfg, small_geom, hyp).values
         np.testing.assert_allclose(w.matrix[:, 0], expected, atol=1e-12)
+
+    def test_views_equal_copies_and_are_read_only(self, cfg, small_geom):
+        stream = make_stream(cfg, small_geom,
+                             jittered_paths([(70.0, 80.0, 12e-9, 70.0, 1.0)]),
+                             snr_db=15.0, duration=0.05)
+        rows = vectorize_frames(stream.stack())
+        ws = windows(stream, 20, 7)
+        assert len(ws) == 5
+        for k, w in enumerate(ws):
+            copy = np.ascontiguousarray(rows[7 * k:7 * k + 20].T)
+            assert np.array_equal(w.matrix, copy)
+            assert w.timestamp_ns == int(stream.timestamps_ns[7 * k + 19])
+            with pytest.raises(ValueError, match="read-only"):
+                w.matrix[0, 0] = 0.0
 
 
 class TestCovariance:
@@ -151,6 +167,65 @@ class TestNoiseSubspace:
         lam = np.concatenate([np.array([50.0, 30.0]), np.full(20, 1.0)
                               + rng.uniform(-0.05, 0.05, 20)])
         assert estimate_source_count(lam, method="mdl", n_snapshots=200) == 2
+
+
+def assert_matches_svd(window, sub):
+    """Same source count, eigenvalues and signal subspace as a thin SVD of the window."""
+    u, sv, _ = np.linalg.svd(window.matrix, full_matrices=False)
+    lam = sv ** 2 / window.window_len
+    assert sub.s_hat == estimate_source_count(lam, n_snapshots=window.window_len)
+    np.testing.assert_allclose(sub.eigenvalues, lam, rtol=1e-10, atol=1e-13 * lam[0])
+    angles = scipy.linalg.subspace_angles(sub.signal_basis, u[:, :sub.s_hat])
+    assert np.max(angles) <= 1e-8
+
+
+def assert_orthonormal(basis):
+    assert np.all(np.isfinite(basis))
+    np.testing.assert_allclose(basis.conj().T @ basis, np.eye(basis.shape[1]), atol=1e-12)
+
+
+class TestGramSubspace:
+    @pytest.mark.parametrize("window_len", [20, 48, 90])
+    def test_matches_svd_tall_and_wide(self, cfg, small_geom, window_len):
+        specs = [(40.0, 70.0, 5e-9, 50.0, 1.0), (120.0, 110.0, 25e-9, 120.0, 0.7),
+                 (80.0, 50.0, 45e-9, 90.0, 0.5)]
+        stream = make_stream(cfg, small_geom, jittered_paths(specs), snr_db=20.0,
+                             duration=0.1)
+        w = windows(stream, window_len, window_len)[0]
+        sub = noise_subspace_from_window(w)
+        assert sub.eigenvalues.shape == (min(small_geom.dim, window_len),)
+        assert_matches_svd(w, sub)
+        assert_orthonormal(sub.signal_basis)
+
+    def test_matches_svd_on_noiseless_sanitized_six_reflectors(self, cfg, full_geom):
+        stream = sanitize(simulate(six_reflector_scene(), cfg, full_geom))
+        w = windows(stream, 100, 33)[0]
+        sub = noise_subspace_from_window(w)
+        assert_matches_svd(w, sub)
+        assert_orthonormal(sub.signal_basis)
+
+    @pytest.mark.parametrize("window_len", [20, 60])
+    def test_all_zero_window(self, cfg, small_geom, window_len):
+        w = SnapshotWindow(np.zeros((small_geom.dim, window_len), dtype=complex),
+                           window_len, window_len)
+        for s_hat in (None, 0, 3, small_geom.dim - 1):
+            sub = noise_subspace_from_window(w, s_hat=s_hat)
+            assert np.all(sub.eigenvalues == 0.0)
+            assert_orthonormal(sub.signal_basis)
+            assert np.all(np.isfinite(spectrum(sub, small_grids(), cfg, small_geom).grid))
+
+    @pytest.mark.parametrize("s_hat", [5, 30])
+    def test_sources_above_rank(self, cfg, small_geom, s_hat):
+        # one noiseless path has rank 1; extra columns (even beyond the
+        # 20 snapshots) are completed to an orthonormal basis
+        hyp = PathHypothesis(64, 49, 18e-9, 85)
+        stream = make_stream(cfg, small_geom, [ScenePath(hyp, phase_jitter=1.0)],
+                             duration=0.02)
+        sub = noise_subspace_from_window(windows(stream, 20, 20)[0], s_hat=s_hat)
+        assert_orthonormal(sub.signal_basis)
+        a = virtual_steering_vector(cfg, small_geom, hyp).values
+        assert sub.projection_deficit(a) < 1e-6 * np.linalg.norm(a) ** 2
+        assert np.all(np.isfinite(spectrum(sub, small_grids(), cfg, small_geom).grid))
 
 
 class TestSpectrum:
@@ -253,8 +328,22 @@ class TestSpectrum:
                              snr_db=15.0, duration=0.05)
         sub = noise_subspace_from_window(windows(stream, 50, 50)[0])
         a = spectrum(sub, small_grids(), cfg, small_geom, threads=1)
-        b = spectrum(sub, small_grids(), cfg, small_geom, threads=4)
-        assert np.array_equal(a.grid, b.grid)
+        for threads in (2, 3, 4, 9):
+            b = spectrum(sub, small_grids(), cfg, small_geom, threads=threads)
+            assert np.array_equal(a.grid, b.grid)
+
+    def test_pair_table_cached_once_per_layout(self, cfg, small_geom):
+        _pair_table.cache_clear()
+        sub = NoiseSubspace(np.eye(small_geom.dim, 1, dtype=complex), 1)
+        spectrum(sub, small_grids(), cfg, small_geom)
+        spectrum(sub, small_grids(), cfg, small_geom, reduce="max")
+        info = _pair_table.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+        table = _pair_table(cfg.carrier_hz, cfg.speed_of_light,
+                            small_geom.rx_positions.tobytes())
+        n_pairs = small_geom.n_rx * (small_geom.n_rx - 1) // 2
+        assert table.shape == (180 * 180, 2 * n_pairs)
+        assert not table.flags.writeable
 
     def test_sanitized_offset_injected_matches_clean(self, cfg, small_geom):
         specs = [(60.0, 80.0, 15e-9, 75.0, 1.0), (130.0, 95.0, 35e-9, 110.0, 0.4)]

@@ -3,7 +3,12 @@
 Subcommands: ``simulate``, ``spectrum``, ``enhance``, ``aggregate``, ``reid``,
 and ``pipeline`` (all stages in one run).  Exit codes: 0 success, 1 usage,
 2 input error, 3 numerical failure.  Outputs are byte-identical for the same
-inputs, seed, and flags regardless of ``--threads``.
+inputs, seed, and flags regardless of ``--threads`` and of the CPU count.
+
+Once every image is computed, each frame's CSV and PGM are written by one
+forked worker process per usable CPU (in this process when only one CPU is
+usable, there is a single frame, or ``fork`` is unavailable).  ``pipeline``
+enhances and aggregates while the workers write the raw spectra.
 """
 
 from __future__ import annotations
@@ -11,7 +16,11 @@ from __future__ import annotations
 import argparse
 import logging
 import math
+import multiprocessing
+import os
 import sys
+import time
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -162,11 +171,84 @@ def _simulate_stream(args, bundle: scenefile.SceneBundle) -> CsiStream:
     return stream
 
 
+def _write_frame(spec: music.Spectrum2D, stem: Path) -> None:
+    """Write one frame as ``<stem>.csv`` and ``<stem>.pgm``."""
+    export.write_spectrum_csv(spec, stem.parent / f"{stem.name}.csv")
+    export.write_pgm(spec, stem.parent / f"{stem.name}.pgm")
+
+
+def _writer_processes(n_frames: int) -> int:
+    """Worker processes for writing ``n_frames`` frames; 0 means this process.
+
+    One per usable CPU, at most one per frame.  Workers are forked so that they
+    inherit the loaded program and the CSV row prefixes instead of importing
+    and rebuilding them; without ``fork``, or with nothing to run alongside,
+    frames are written in this process.
+    """
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return 0
+    usable = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+              else os.cpu_count() or 1)
+    n = min(usable, n_frames)
+    return n if n > 1 else 0
+
+
+class _SpectrumWriter:
+    """Writes frames with :func:`_write_frame` on :func:`_writer_processes` workers.
+
+    Create it only after the last scan has returned: writer processes running
+    beside the scan's BLAS threads oversubscribe the cores and slow both.  The
+    pool forks before any of its own threads start, and the workers call no
+    BLAS.  Leaving the ``with`` block waits for every frame in submission order,
+    so a worker's exception (an ``OSError`` naming the file) is raised here;
+    then it logs the frame count, the worker count and the seconds since
+    creation.
+    """
+
+    def __init__(self, n_frames: int):
+        self._processes = _writer_processes(n_frames)
+        self._pool = None
+        self._futures = []
+        self._frames = 0
+        self._started = time.perf_counter()
+        if self._processes:
+            export._csv_row_prefixes()  # built before the fork, so every worker inherits it
+            self._pool = ProcessPoolExecutor(
+                self._processes, mp_context=multiprocessing.get_context("fork"))
+
+    def write(self, spec: music.Spectrum2D, stem: Path) -> None:
+        self._frames += 1
+        if self._pool is None:
+            _write_frame(spec, stem)
+        else:
+            self._futures.append(self._pool.submit(_write_frame, spec, stem))
+
+    def write_track(self, frames: list[music.Spectrum2D], outdir: Path,
+                    prefix: str) -> None:
+        outdir.mkdir(parents=True, exist_ok=True)
+        for i, spec in enumerate(frames):
+            self.write(spec, outdir / f"{prefix}_{i:05d}")
+
+    def __enter__(self) -> "_SpectrumWriter":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if self._pool is not None:
+            try:
+                if exc_type is None:
+                    for future in self._futures:
+                        future.result()
+            finally:
+                self._pool.shutdown(cancel_futures=True)
+        if exc_type is None:
+            logger.info("wrote %d frames %s in %.3f s", self._frames,
+                        f"with {self._processes} worker processes" if self._pool
+                        else "in-process", time.perf_counter() - self._started)
+
+
 def _write_spectra(track: list[music.Spectrum2D], outdir: Path, prefix: str) -> None:
-    outdir.mkdir(parents=True, exist_ok=True)
-    for i, spec in enumerate(track):
-        export.write_spectrum_csv(spec, outdir / f"{prefix}_{i:05d}.csv")
-        export.write_pgm(spec, outdir / f"{prefix}_{i:05d}.pgm")
+    with _SpectrumWriter(len(track)) as writer:
+        writer.write_track(track, outdir, prefix)
 
 
 def _read_track(indir: Path, frame_rate_hz: float) -> imaging.SpectrumTrack:
@@ -269,17 +351,17 @@ def _cmd_pipeline(args) -> int:
     csif.write_csif(stream, outdir / "stream.csif")
 
     track = _compute_spectra(stream, args, _grids_from_args(args))
-    _write_spectra(track, outdir / "spectra", "spectrum")
-
     frame_rate = bundle.scene.packet_rate_hz / args.stride
     raw = imaging.SpectrumTrack(track, frame_rate_hz=frame_rate)
-    enhanced = imaging.enhance_track(raw, static_window=args.static_window,
-                                     floor_db=args.floor_db, mode=args.static_mode)
-    _write_spectra(enhanced.frames, outdir / "enhanced", "enhanced")
-
-    agg = imaging.aggregate(enhanced, k=min(args.frames, len(enhanced)))
-    export.write_spectrum_csv(agg, outdir / "aggregate.csv")
-    export.write_pgm(agg, outdir / "aggregate.pgm")
+    # Bounds the worker count: the raw frames, at most as many enhanced ones
+    # and the aggregate.
+    with _SpectrumWriter(2 * len(track) + 1) as writer:
+        writer.write_track(track, outdir / "spectra", "spectrum")
+        enhanced = imaging.enhance_track(raw, static_window=args.static_window,
+                                         floor_db=args.floor_db, mode=args.static_mode)
+        writer.write_track(enhanced.frames, outdir / "enhanced", "enhanced")
+        agg = imaging.aggregate(enhanced, k=min(args.frames, len(enhanced)))
+        writer.write(agg, outdir / "aggregate")
     logger.info("pipeline complete: %d spectra, %d enhanced frames", len(track),
                 len(enhanced))
     return EXIT_OK

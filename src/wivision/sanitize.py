@@ -44,7 +44,9 @@ def sanitize_tensors(tensors: np.ndarray) -> np.ndarray:
     phases = np.unwrap(np.angle(tensors), axis=-1)
     n_pairs = tensors.shape[1] * tensors.shape[2]
     slopes = np.einsum("prmn,n->p", phases, centered) / (n_pairs * norm)
+    del phases  # half the input's bytes; free it before the complex copy below
 
     detrended = tensors * np.exp(-1j * slopes[:, None, None, None] * n_idx)
     intercepts = np.angle(detrended.sum(axis=(1, 2, 3)))
-    return detrended * np.exp(-1j * intercepts)[:, None, None, None]
+    detrended *= np.exp(-1j * intercepts)[:, None, None, None]
+    return detrended

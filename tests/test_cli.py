@@ -1,6 +1,10 @@
+import logging
+import os
+
 import numpy as np
 import pytest
 
+from wivision import cli
 from wivision.cli import EXIT_INPUT, EXIT_OK, EXIT_USAGE, main
 
 SCENE = """
@@ -163,6 +167,52 @@ class TestPipelineCommands:
                        "n_subcarriers = 8\n")
         assert run("--config", bad, "spectrum", "--in", csif_path,
                    "--out", tmp_path / "x") == EXIT_INPUT
+
+
+def usable_cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def run_pipeline(scene_file, out):
+    return run("-v", "pipeline", "--scene", scene_file, "--out", out,
+               "--window", 100, "--stride", 100, "--static-window", 3,
+               "--frames", 2, "--tau-grid-ns", "0:40:10",
+               "--aod-grid-deg", "60,90,120")
+
+
+def tree(root):
+    return {p.relative_to(root): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+class TestFrameWriter:
+    def test_writer_processes(self, monkeypatch):
+        usable_cpus(monkeypatch, 4)
+        assert [cli._writer_processes(n) for n in (0, 1, 2, 3, 10)] == [0, 0, 2, 3, 4]
+        usable_cpus(monkeypatch, 1)
+        assert cli._writer_processes(10) == 0
+
+    def test_workers_byte_identical(self, scene_file, tmp_path, monkeypatch, caplog):
+        caplog.set_level(logging.INFO, logger="wivision")
+        trees = []
+        for cpus, how in ((1, "in-process"), (2, "with 2 worker processes")):
+            usable_cpus(monkeypatch, cpus)
+            out = tmp_path / f"cpus{cpus}"
+            assert run_pipeline(scene_file, out) == EXIT_OK
+            assert f"wrote 7 frames {how}" in caplog.text
+            trees.append(tree(out))
+        assert len(trees[0]) == 15  # stream.csif and 7 CSV/PGM pairs
+        assert trees[0] == trees[1]
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_unwritable_frame_is_input_error(self, scene_file, tmp_path, monkeypatch,
+                                             capsys, cpus):
+        usable_cpus(monkeypatch, cpus)
+        out = tmp_path / "run"
+        blocked = out / "spectra" / "spectrum_00001.csv"
+        blocked.mkdir(parents=True)
+        assert run_pipeline(scene_file, out) == EXIT_INPUT
+        assert str(blocked) in capsys.readouterr().err
 
 
 class TestReidCommand:

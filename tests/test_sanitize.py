@@ -81,3 +81,23 @@ class TestSanitize:
         stream = make_stream(cfg, geom, [ScenePath(PathHypothesis(90, 90))])
         with pytest.raises(ValueError, match="subcarrier"):
             sanitize(stream)
+
+    def test_in_place_intercept_matches_out_of_place(self, rng):
+        from wivision.sanitize import sanitize_tensors
+
+        def out_of_place(tensors):
+            n_idx = np.arange(tensors.shape[-1], dtype=float)
+            centered = n_idx - n_idx.mean()
+            phases = np.unwrap(np.angle(tensors), axis=-1)
+            n_pairs = tensors.shape[1] * tensors.shape[2]
+            slopes = (np.einsum("prmn,n->p", phases, centered)
+                      / (n_pairs * (centered @ centered)))
+            detrended = tensors * np.exp(-1j * slopes[:, None, None, None] * n_idx)
+            intercepts = np.angle(detrended.sum(axis=(1, 2, 3)))
+            return detrended * np.exp(-1j * intercepts)[:, None, None, None]
+
+        shape = (40, 9, 3, 30)
+        tensors = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        before = tensors.copy()
+        assert np.array_equal(sanitize_tensors(tensors), out_of_place(tensors))
+        assert np.array_equal(tensors, before)

@@ -30,7 +30,6 @@ from .reid import CmcCurve, FeatureVector, RankingResult, cmc, extract_features,
 from .sanitize import sanitize
 from .scenefile import SceneBundle, SceneFileError, load_scene
 from .simulate import (
-    CsiFrame,
     CsiStream,
     DegenerateSceneError,
     GainGate,

@@ -381,6 +381,13 @@ _INPUT_ERRORS = (FileNotFoundError, IsADirectoryError, PermissionError,
                  DegenerateSceneError, ValueError, KeyError, OSError)
 
 
+def _fail(code: int, kind: str, exc: Exception) -> int:
+    """Report ``exc`` in one stderr line; with -v, also log its traceback."""
+    print(f"wivision: {kind}: {exc}", file=sys.stderr)
+    logger.info("%s traceback", kind, exc_info=exc)
+    return code
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -395,15 +402,10 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         return _COMMANDS[args.command](args)
-    except np.linalg.LinAlgError as exc:
-        print(f"wivision: numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except FloatingPointError as exc:
-        print(f"wivision: numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+    except (np.linalg.LinAlgError, FloatingPointError) as exc:
+        return _fail(EXIT_NUMERIC, "numerical failure", exc)
     except _INPUT_ERRORS as exc:
-        print(f"wivision: input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return _fail(EXIT_INPUT, "input error", exc)
 
 
 if __name__ == "__main__":

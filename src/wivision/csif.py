@@ -11,9 +11,10 @@ Layout (little-endian):
     subcarrier_spacing_hz   f64
     packet_count            u64
 
-followed, per packet, by a u64 timestamp in nanoseconds and
-``2 * n_rx * n_tx * n_su`` little-endian float32 values (interleaved real,
-imaginary; index order rx-major, then tx, then subcarrier).
+followed by ``packet_count`` records of :func:`_packet_dtype`: a u64 timestamp
+in nanoseconds and ``n_rx * n_tx * n_su`` little-endian complex64 values
+(real then imaginary float32; index order rx-major, then tx, then subcarrier).
+The reader and the writer share that one record layout.
 
 The format carries dimensions but not antenna positions or tx spacing; readers
 reconstruct the default L-shaped half-wavelength layout unless an explicit
@@ -38,8 +39,13 @@ class CsifFormatError(ValueError):
     """Malformed CSIF file."""
 
 
+def _packet_dtype(n_rx: int, n_tx: int, n_su: int) -> np.dtype:
+    """The record of one packet: timestamp, then its (rx, tx, subcarrier) tensor."""
+    return np.dtype([("ts", "<u8"), ("iq", "<c8", (n_rx, n_tx, n_su))])
+
+
 def packet_size_bytes(n_rx: int, n_tx: int, n_su: int) -> int:
-    return 8 + 2 * n_rx * n_tx * n_su * 4
+    return _packet_dtype(n_rx, n_tx, n_su).itemsize
 
 
 def write_csif(stream: CsiStream, path) -> None:
@@ -52,23 +58,20 @@ def write_csif(stream: CsiStream, path) -> None:
     header = _HEADER.pack(MAGIC, VERSION, n_rx, n_tx, n_su,
                           stream.config.carrier_hz,
                           stream.config.subcarrier_spacing_hz, len(stream))
-    tensors = stream.stack().reshape(len(stream), -1)
-    iq = np.empty((len(stream), tensors.shape[1] * 2), dtype="<f4")
-    iq[:, 0::2] = tensors.real
-    iq[:, 1::2] = tensors.imag
-    timestamps = stream.timestamps_ns.astype("<u8")
+    packets = np.empty(len(stream), dtype=_packet_dtype(n_rx, n_tx, n_su))
+    packets["ts"] = stream.timestamps_ns
+    packets["iq"] = stream.tensors
     with open(path, "wb") as fh:
         fh.write(header)
-        for ts, row in zip(timestamps, iq):
-            fh.write(struct.pack("<Q", int(ts)))
-            fh.write(row.tobytes())
+        fh.write(packets)
 
 
 def read_csif(path, geometry: ArrayGeometry | None = None) -> CsiStream:
     """Parse a CSIF file back into a stream.
 
     ``geometry`` overrides the synthesized default layout; its dimensions must
-    match the header.
+    match the header.  A bad timestamp or a non-finite value raises
+    :class:`CsifFormatError` naming the first packet at fault.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -83,25 +86,17 @@ def read_csif(path, geometry: ArrayGeometry | None = None) -> CsiStream:
     if min(n_rx, n_tx, n_su) < 1:
         raise CsifFormatError(f"invalid dimensions {n_rx}x{n_tx}x{n_su}")
 
-    payload = raw[_HEADER.size:]
-    per_packet = packet_size_bytes(n_rx, n_tx, n_su)
-    complete, leftover = divmod(len(payload), per_packet)
+    try:
+        record = _packet_dtype(n_rx, n_tx, n_su)
+    except ValueError as exc:  # numpy caps a record at 2 GB
+        raise CsifFormatError(f"invalid dimensions {n_rx}x{n_tx}x{n_su}: {exc}") from exc
+    complete, leftover = divmod(len(raw) - _HEADER.size, record.itemsize)
     if leftover:
         raise CsifFormatError(f"file truncated mid packet {complete}: "
-                              f"{leftover} trailing bytes of {per_packet}")
+                              f"{leftover} trailing bytes of {record.itemsize}")
     if complete != n_packets:
         raise CsifFormatError(f"header declares {n_packets} packets but payload "
                               f"holds {complete}; bad packet index {min(complete, n_packets)}")
-
-    record = np.dtype([("ts", "<u8"), ("iq", "<f4", (2 * n_rx * n_tx * n_su,))])
-    packets = np.frombuffer(payload, dtype=record)
-    timestamps = packets["ts"].astype(np.int64)
-    if np.any(np.diff(timestamps) <= 0):
-        bad = int(np.nonzero(np.diff(timestamps) <= 0)[0][0]) + 1
-        raise CsifFormatError(f"non-monotone timestamp at packet {bad}")
-
-    iq = packets["iq"].astype(np.float64)
-    tensors = (iq[:, 0::2] + 1j * iq[:, 1::2]).reshape(n_packets, n_rx, n_tx, n_su)
 
     cfg = ChannelConfig(carrier_hz=carrier_hz, subcarrier_spacing_hz=spacing_hz)
     if geometry is None:
@@ -110,7 +105,12 @@ def read_csif(path, geometry: ArrayGeometry | None = None) -> CsiStream:
     if expected != (n_rx, n_tx, n_su):
         raise CsifFormatError(f"geometry {expected} does not match header "
                               f"{(n_rx, n_tx, n_su)}")
-    return CsiStream.from_arrays(cfg, geometry, timestamps, tensors)
+    packets = np.frombuffer(raw, dtype=record, offset=_HEADER.size)
+    try:
+        return CsiStream(cfg, geometry, packets["ts"].astype(np.int64),
+                         packets["iq"].astype(complex))
+    except ValueError as exc:
+        raise CsifFormatError(str(exc)) from exc
 
 
 def _default_layout(cfg: ChannelConfig, n_rx: int, n_tx: int, n_su: int) -> ArrayGeometry:

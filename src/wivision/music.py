@@ -84,18 +84,16 @@ class SnapshotWindow:
     """
 
     matrix: np.ndarray
-    window_len: int
-    stride: int
     timestamp_ns: int = 0
 
     def __post_init__(self):
-        if self.window_len < 1:
-            raise ValueError("window_len must be >= 1")
-        if self.matrix.ndim != 2 or self.matrix.shape[1] != self.window_len:
-            raise ValueError(
-                f"window matrix must have window_len={self.window_len} columns, "
-                f"got shape {self.matrix.shape}"
-            )
+        if self.matrix.ndim != 2 or self.matrix.shape[1] < 1:
+            raise ValueError("window matrix must be 2-D with at least one column, "
+                             f"got shape {self.matrix.shape}")
+
+    @property
+    def window_len(self) -> int:
+        return self.matrix.shape[1]
 
     @property
     def dim(self) -> int:
@@ -122,12 +120,11 @@ def windows(stream: CsiStream, window_len: int = DEFAULT_WINDOW_LEN,
         logger.warning("stream of %d packets is shorter than one %d-packet window; "
                        "no windows produced", n, window_len)
         return []
-    rows = vectorize_frames(stream.stack())
+    rows = vectorize_frames(stream.tensors)
     # views[start] is the (dim, window_len) matrix of packets start.. as columns
     views = np.lib.stride_tricks.sliding_window_view(rows, window_len, axis=0)
     ts = stream.timestamps_ns
-    return [SnapshotWindow(views[start], window_len, stride,
-                           timestamp_ns=int(ts[start + window_len - 1]))
+    return [SnapshotWindow(views[start], timestamp_ns=int(ts[start + window_len - 1]))
             for start in range(0, n - window_len + 1, stride)]
 
 

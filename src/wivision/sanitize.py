@@ -16,6 +16,8 @@ over delay, so downstream angle estimates are unaffected.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from .simulate import CsiStream
@@ -23,13 +25,7 @@ from .simulate import CsiStream
 
 def sanitize(stream: CsiStream) -> CsiStream:
     """Return a stream with per-packet common phase offset and slope removed."""
-    n_su = stream.geometry.n_subcarriers
-    if n_su < 2:
-        raise ValueError(f"sanitize needs at least 2 subcarriers, got {n_su}")
-    data = stream.stack()
-    out = sanitize_tensors(data)
-    return CsiStream.from_arrays(stream.config, stream.geometry,
-                                 stream.timestamps_ns, out)
+    return replace(stream, tensors=sanitize_tensors(stream.tensors))
 
 
 def sanitize_tensors(tensors: np.ndarray) -> np.ndarray:

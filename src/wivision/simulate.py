@@ -15,7 +15,7 @@ enable it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -141,59 +141,45 @@ class Scene:
 
 
 @dataclass(frozen=True)
-class CsiFrame:
-    """One packet's channel tensor, indexed (rx antenna, tx antenna, subcarrier)."""
-
-    timestamp_ns: int
-    tensor: np.ndarray
-
-    def __post_init__(self):
-        t = np.asarray(self.tensor, dtype=complex)
-        if t.ndim != 3:
-            raise ValueError(f"frame tensor must be 3-D (rx, tx, subcarrier), got {t.shape}")
-        if not np.all(np.isfinite(t)):
-            raise ValueError("frame tensor contains non-finite values")
-        object.__setattr__(self, "tensor", t)
-
-
-@dataclass
 class CsiStream:
-    """Time-ordered CSI frames plus the channel/geometry they were measured with."""
+    """A packet stream as one array, plus the channel/geometry it was measured with.
+
+    ``timestamps_ns`` is an (n,) int64 array of strictly increasing packet
+    times; ``tensors`` is the (n, rx antenna, tx antenna, subcarrier) complex
+    array of channel tensors.  Both are stored without a copy and made
+    read-only.
+    """
 
     config: ChannelConfig
     geometry: ArrayGeometry
-    frames: list[CsiFrame] = field(default_factory=list)
+    timestamps_ns: np.ndarray
+    tensors: np.ndarray
 
     def __post_init__(self):
+        ts = np.asarray(self.timestamps_ns, dtype=np.int64)
+        t = np.asarray(self.tensors, dtype=complex)
         shape = (self.geometry.n_rx, self.geometry.n_tx, self.geometry.n_subcarriers)
-        ts = [f.timestamp_ns for f in self.frames]
-        if any(b <= a for a, b in zip(ts, ts[1:])):
-            raise ValueError("frame timestamps must be strictly increasing")
-        for f in self.frames:
-            if f.tensor.shape != shape:
-                raise ValueError(
-                    f"frame tensor shape {f.tensor.shape} does not match geometry {shape}"
-                )
+        if ts.ndim != 1:
+            raise ValueError(f"timestamps must be 1-D, got shape {ts.shape}")
+        if t.ndim != 4 or t.shape[1:] != shape:
+            raise ValueError(f"packet 0: tensor shape {t.shape[1:]} does not match "
+                             f"geometry {shape}")
+        if len(t) != len(ts):
+            raise ValueError(f"packet {min(len(t), len(ts))}: {len(ts)} timestamps "
+                             f"but {len(t)} tensors")
+        late = np.flatnonzero(np.diff(ts) <= 0)
+        if late.size:
+            p = int(late[0]) + 1
+            raise ValueError(f"packet {p}: timestamp {ts[p]} is not after {ts[p - 1]}")
+        bad = np.flatnonzero(~np.isfinite(t).all(axis=(1, 2, 3)))
+        if bad.size:
+            raise ValueError(f"packet {int(bad[0])}: tensor contains non-finite values")
+        for name, a in (("timestamps_ns", ts), ("tensors", t)):
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
 
     def __len__(self) -> int:
-        return len(self.frames)
-
-    @property
-    def timestamps_ns(self) -> np.ndarray:
-        return np.array([f.timestamp_ns for f in self.frames], dtype=np.int64)
-
-    def stack(self) -> np.ndarray:
-        """All frame tensors as one (n_frames, rx, tx, subcarrier) array."""
-        if not self.frames:
-            shape = (0, self.geometry.n_rx, self.geometry.n_tx, self.geometry.n_subcarriers)
-            return np.zeros(shape, dtype=complex)
-        return np.stack([f.tensor for f in self.frames])
-
-    @classmethod
-    def from_arrays(cls, config: ChannelConfig, geometry: ArrayGeometry,
-                    timestamps_ns: np.ndarray, tensors: np.ndarray) -> "CsiStream":
-        frames = [CsiFrame(int(ts), t) for ts, t in zip(timestamps_ns, tensors)]
-        return cls(config, geometry, frames)
+        return len(self.timestamps_ns)
 
 
 def packet_times(scene: Scene) -> np.ndarray:
@@ -236,7 +222,7 @@ def simulate(scene: Scene, cfg: ChannelConfig, geom: ArrayGeometry) -> CsiStream
         parts = rng.standard_normal(signal.shape + (2,))
         signal = signal + math.sqrt(noise_var / 2.0) * (parts[..., 0] + 1j * parts[..., 1])
 
-    return CsiStream.from_arrays(cfg, geom, ts_ns, signal)
+    return CsiStream(cfg, geom, ts_ns, signal)
 
 
 def inject_phase_offsets(stream: CsiStream, seed: int,
@@ -256,16 +242,14 @@ def inject_phase_offsets(stream: CsiStream, seed: int,
     eta0 = rng.uniform(offset_range[0], offset_range[1], n)
     eta1 = rng.uniform(slope_range[0], slope_range[1], n)
     ramp = np.exp(-1j * (eta0[:, None] + np.outer(eta1, np.arange(n_su))))
-    tensors = stream.stack() * ramp[:, None, None, :]
-    return CsiStream.from_arrays(stream.config, stream.geometry,
-                                 stream.timestamps_ns, tensors)
+    return replace(stream, tensors=stream.tensors * ramp[:, None, None, :])
 
 
 def degrade_stream(stream: CsiStream) -> CsiStream:
     """Collapse a stream to 1 tx antenna and 1 subcarrier (rx-only diversity)."""
     geom = ArrayGeometry(stream.geometry.rx_positions, n_tx=1, n_subcarriers=1)
-    tensors = stream.stack()[:, :, :1, :1]
-    return CsiStream.from_arrays(stream.config, geom, stream.timestamps_ns, tensors)
+    tensors = np.ascontiguousarray(stream.tensors[:, :, :1, :1])
+    return CsiStream(stream.config, geom, stream.timestamps_ns, tensors)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,16 @@
 import logging
 import os
+import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import wivision
 from wivision import cli
+from wivision.csif import packet_size_bytes
 from wivision.cli import EXIT_INPUT, EXIT_OK, EXIT_USAGE, main
 
 SCENE = """
@@ -75,6 +81,45 @@ class TestExitCodes:
         broken = tmp_path / "broken.csif"
         broken.write_bytes(b"not a csif file")
         assert run("spectrum", "--in", broken, "--out", tmp_path / "o") == EXIT_INPUT
+
+
+def non_finite_csif(scene_file, tmp_path):
+    """A simulated CSIF stream whose packet 3 holds a NaN."""
+    path = tmp_path / "nan.csif"
+    assert run("simulate", "--scene", scene_file, "--out", path) == EXIT_OK
+    raw = bytearray(path.read_bytes())
+    struct.pack_into("<f", raw, 36 + 3 * packet_size_bytes(3, 2, 8) + 8, np.nan)
+    path.write_bytes(bytes(raw))
+    return path
+
+
+def run_subprocess(*args):
+    src = Path(wivision.__file__).parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "wivision.cli", *map(str, args)],
+                          capture_output=True, text=True, env=env)
+
+
+class TestErrorReports:
+    def test_non_finite_csif_is_2(self, scene_file, tmp_path, capsys):
+        path = non_finite_csif(scene_file, tmp_path)
+        assert run("spectrum", "--in", path, "--out", tmp_path / "o") == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            "wivision: input error: packet 3: tensor contains non-finite values\n")
+
+    def test_verbose_logs_traceback(self, scene_file, tmp_path):
+        path = non_finite_csif(scene_file, tmp_path)
+        argv = ("spectrum", "--in", path, "--out", tmp_path / "o")
+        line = "wivision: input error: packet 3: tensor contains non-finite values\n"
+        quiet = run_subprocess(*argv)
+        assert (quiet.returncode, quiet.stderr) == (EXIT_INPUT, line)
+        loud = run_subprocess("-v", *argv)
+        assert loud.returncode == EXIT_INPUT
+        assert loud.stderr.startswith(line)
+        assert "INFO wivision: input error traceback" in loud.stderr
+        assert "Traceback (most recent call last)" in loud.stderr
+        assert "wivision.csif.CsifFormatError: packet 3" in loud.stderr
 
 
 class TestPipelineCommands:

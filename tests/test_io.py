@@ -12,6 +12,7 @@ from wivision import (
     SceneFileError,
     ScenePath,
     Spectrum2D,
+    inject_phase_offsets,
     load_scene,
     read_csif,
     simulate,
@@ -33,8 +34,8 @@ class TestCsif:
         path = tmp_path / "s.csif"
         write_csif(stream, path)
         back = read_csif(path, geometry=stream.geometry)
-        np.testing.assert_array_equal(back.stack().astype(np.complex64),
-                                      stream.stack().astype(np.complex64))
+        np.testing.assert_array_equal(back.tensors.astype(np.complex64),
+                                      stream.tensors.astype(np.complex64))
         np.testing.assert_array_equal(back.timestamps_ns, stream.timestamps_ns)
         assert back.config.carrier_hz == stream.config.carrier_hz
 
@@ -76,9 +77,9 @@ class TestCsif:
         path = tmp_path / "ts.csif"
         write_csif(stream, path)
         raw = bytearray(path.read_bytes())
-        per = packet_size_bytes(*stream.stack().shape[1:])
+        per = packet_size_bytes(*stream.tensors.shape[1:])
         # overwrite packet 1's timestamp with packet 0's
-        struct.pack_into("<Q", raw, 36 + per, stream.frames[0].timestamp_ns)
+        struct.pack_into("<Q", raw, 36 + per, int(stream.timestamps_ns[0]))
         path.write_bytes(bytes(raw))
         with pytest.raises(CsifFormatError, match="timestamp"):
             read_csif(path)
@@ -99,6 +100,67 @@ class TestCsif:
                                        n_tx=1, n_subcarriers=4)
         with pytest.raises(CsifFormatError, match="geometry"):
             read_csif(path, geometry=wrong)
+
+
+def write_csif_per_packet(stream, path):
+    """The per-packet writer the record-array writer replaced, kept as an oracle."""
+    geom = stream.geometry
+    header = struct.pack("<4sHHHHddQ", b"CSIF", 1, geom.n_rx, geom.n_tx,
+                         geom.n_subcarriers, stream.config.carrier_hz,
+                         stream.config.subcarrier_spacing_hz, len(stream))
+    tensors = stream.tensors.reshape(len(stream), -1)
+    iq = np.empty((len(stream), tensors.shape[1] * 2), dtype="<f4")
+    iq[:, 0::2] = tensors.real
+    iq[:, 1::2] = tensors.imag
+    with open(path, "wb") as fh:
+        fh.write(header)
+        for ts, row in zip(stream.timestamps_ns.astype("<u8"), iq):
+            fh.write(struct.pack("<Q", int(ts)))
+            fh.write(row.tobytes())
+
+
+class TestCsifRecordLayout:
+    @pytest.fixture
+    def offset_stream(self, stream):
+        return inject_phase_offsets(stream, seed=3)
+
+    def test_writer_matches_per_packet_loop(self, offset_stream, tmp_path):
+        new, old = tmp_path / "new.csif", tmp_path / "old.csif"
+        write_csif(offset_stream, new)
+        write_csif_per_packet(offset_stream, old)
+        assert new.read_bytes() == old.read_bytes()
+
+    def test_reader_matches_float_interleave(self, offset_stream, tmp_path):
+        path = tmp_path / "s.csif"
+        write_csif(offset_stream, path)
+        n, shape = len(offset_stream), offset_stream.tensors.shape
+        record = np.dtype([("ts", "<u8"), ("iq", "<f4", (2 * math.prod(shape[1:]),))])
+        iq = np.frombuffer(path.read_bytes()[36:], dtype=record)["iq"].astype(np.float64)
+        expected = (iq[:, 0::2] + 1j * iq[:, 1::2]).reshape(shape)
+        back = read_csif(path, geometry=offset_stream.geometry)
+        assert np.array_equal(back.tensors, expected)
+        assert len(back) == n and back.tensors.dtype == complex
+        assert not back.tensors.flags.writeable
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_payload_names_packet(self, stream, tmp_path, value):
+        path = tmp_path / "nan.csif"
+        write_csif(stream, path)
+        raw = bytearray(path.read_bytes())
+        per = packet_size_bytes(*stream.tensors.shape[1:])
+        for packet in (3, 5):
+            # the imaginary part of the packet's second value
+            struct.pack_into("<f", raw, 36 + packet * per + 8 + 12, value)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CsifFormatError, match="packet 3: tensor contains non-finite"):
+            read_csif(path)
+
+    def test_oversized_dimensions(self, tmp_path):
+        path = tmp_path / "huge.csif"
+        path.write_bytes(struct.pack("<4sHHHHddQ", b"CSIF", 1, 0xFFFF, 0xFFFF, 0xFFFF,
+                                     5e9, 312.5e3, 1))
+        with pytest.raises(CsifFormatError, match="invalid dimensions"):
+            read_csif(path)
 
 
 class TestSpectrumExport:

@@ -80,7 +80,7 @@ class TestWindows:
         stream = make_stream(cfg, small_geom,
                              jittered_paths([(70.0, 80.0, 12e-9, 70.0, 1.0)]),
                              snr_db=15.0, duration=0.05)
-        rows = vectorize_frames(stream.stack())
+        rows = vectorize_frames(stream.tensors)
         ws = windows(stream, 20, 7)
         assert len(ws) == 5
         for k, w in enumerate(ws):
@@ -90,10 +90,18 @@ class TestWindows:
             with pytest.raises(ValueError, match="read-only"):
                 w.matrix[0, 0] = 0.0
 
+    def test_window_len_is_column_count(self):
+        w = SnapshotWindow(np.ones((4, 3), dtype=complex), timestamp_ns=9)
+        assert (w.window_len, w.dim, w.timestamp_ns) == (3, 4, 9)
+        assert not hasattr(w, "stride")
+        for bad in (np.ones((4, 0), dtype=complex), np.ones(4, dtype=complex)):
+            with pytest.raises(ValueError, match="at least one column"):
+                SnapshotWindow(bad)
+
 
 class TestCovariance:
     def test_all_ones_column(self):
-        w = SnapshotWindow(np.ones((4, 1), dtype=complex), 1, 1)
+        w = SnapshotWindow(np.ones((4, 1), dtype=complex))
         np.testing.assert_array_equal(covariance(w), np.ones((4, 4)))
 
     def test_single_path_rank_one(self, cfg, small_geom):
@@ -106,7 +114,7 @@ class TestCovariance:
     def test_hermitian(self, cfg, small_geom, rng):
         m = rng.standard_normal((small_geom.dim, 10)) \
             + 1j * rng.standard_normal((small_geom.dim, 10))
-        r = covariance(SnapshotWindow(m, 10, 1))
+        r = covariance(SnapshotWindow(m))
         assert np.max(np.abs(r - r.conj().T)) < 1e-12
 
 
@@ -206,8 +214,7 @@ class TestGramSubspace:
 
     @pytest.mark.parametrize("window_len", [20, 60])
     def test_all_zero_window(self, cfg, small_geom, window_len):
-        w = SnapshotWindow(np.zeros((small_geom.dim, window_len), dtype=complex),
-                           window_len, window_len)
+        w = SnapshotWindow(np.zeros((small_geom.dim, window_len), dtype=complex))
         for s_hat in (None, 0, 3, small_geom.dim - 1):
             sub = noise_subspace_from_window(w, s_hat=s_hat)
             assert np.all(sub.eigenvalues == 0.0)
@@ -295,7 +302,7 @@ class TestSpectrum:
                              [ScenePath(PathHypothesis(75, 120, 20e-9, 60))],
                              snr_db=15.0, duration=0.05)
         w = windows(stream, 50, 50)[0]
-        scaled = SnapshotWindow(w.matrix * (3.5 - 1.2j), w.window_len, w.stride)
+        scaled = SnapshotWindow(w.matrix * (3.5 - 1.2j))
         a = spectrum(noise_subspace_from_window(w), small_grids(), cfg, small_geom)
         b = spectrum(noise_subspace_from_window(scaled), small_grids(), cfg,
                      small_geom)
@@ -307,7 +314,7 @@ class TestSpectrum:
                              snr_db=10.0, duration=0.05)
         w = windows(stream, 50, 50)[0]
         perm = rng.permutation(50)
-        shuffled = SnapshotWindow(w.matrix[:, perm], w.window_len, w.stride)
+        shuffled = SnapshotWindow(w.matrix[:, perm])
         np.testing.assert_allclose(covariance(w), covariance(shuffled), atol=1e-12)
         a = spectrum(noise_subspace_from_window(w, s_hat=1), small_grids(), cfg,
                      small_geom)

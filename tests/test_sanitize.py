@@ -24,14 +24,14 @@ class TestSanitize:
         # exactly all-ones tensors: the fitted line is identically zero
         geom = ArrayGeometry(np.zeros((2, 3)), n_tx=1, n_subcarriers=8)
         stream = make_stream(cfg, geom, [ScenePath(PathHypothesis(42, 137, 0.0, 65))])
-        assert np.array_equal(stream.stack().real, np.ones_like(stream.stack().real))
+        assert np.array_equal(stream.tensors.real, np.ones_like(stream.tensors.real))
         out = sanitize(stream)
-        assert np.array_equal(out.stack(), stream.stack())
+        assert np.array_equal(out.tensors, stream.tensors)
         # a zero-ToF path on the real array is preserved to machine precision
         stream = make_stream(cfg, small_geom,
                              [ScenePath(PathHypothesis(90, 90, 0.0, 180.0))])
         out = sanitize(stream)
-        np.testing.assert_allclose(out.stack(), stream.stack(), atol=1e-12)
+        np.testing.assert_allclose(out.tensors, stream.tensors, atol=1e-12)
 
     def test_magnitudes_unchanged(self, cfg, small_geom):
         stream = make_stream(cfg, small_geom,
@@ -40,7 +40,7 @@ class TestSanitize:
                                         gain=0.4)],
                              snr_db=20.0)
         out = sanitize(stream)
-        np.testing.assert_allclose(np.abs(out.stack()), np.abs(stream.stack()),
+        np.testing.assert_allclose(np.abs(out.tensors), np.abs(stream.tensors),
                                    rtol=1e-12)
 
     def test_roundtrip_matches_clean_sanitized(self, cfg, small_geom):
@@ -49,8 +49,8 @@ class TestSanitize:
         clean = make_stream(cfg, small_geom, paths, snr_db=25.0, seed=7)
         for inject_seed in (1, 2, 3):
             injected = inject_phase_offsets(clean, seed=inject_seed)
-            a = sanitize(injected).stack()
-            b = sanitize(clean).stack()
+            a = sanitize(injected).tensors
+            b = sanitize(clean).tensors
             phase_err = np.angle(a / b)
             assert np.max(np.abs(phase_err)) < 1e-6
 
@@ -60,7 +60,7 @@ class TestSanitize:
                              snr_db=15.0)
         once = sanitize(stream)
         twice = sanitize(once)
-        np.testing.assert_allclose(twice.stack(), once.stack(), atol=1e-9)
+        np.testing.assert_allclose(twice.tensors, once.tensors, atol=1e-9)
 
     def test_offset_invariance_fixed_offsets(self, cfg, small_geom):
         # a fixed common (offset, slope), not just the random injector
@@ -70,10 +70,10 @@ class TestSanitize:
         n_su = small_geom.n_subcarriers
         for eta0, eta1 in [(1.0, 0.05), (4.5, -np.pi / n_su), (2.0, 0.0)]:
             ramp = np.exp(-1j * (eta0 + eta1 * np.arange(n_su)))
-            shifted = stream.stack() * ramp
+            shifted = stream.tensors * ramp
             from wivision.sanitize import sanitize_tensors
             a = sanitize_tensors(shifted)
-            b = sanitize_tensors(stream.stack())
+            b = sanitize_tensors(stream.tensors)
             np.testing.assert_allclose(a, b, atol=1e-9)
 
     def test_needs_two_subcarriers(self, cfg):

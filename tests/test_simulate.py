@@ -6,6 +6,7 @@ import pytest
 from wivision import (
     ArrayGeometry,
     ChannelConfig,
+    CsiStream,
     DegenerateSceneError,
     GainGate,
     PathHypothesis,
@@ -59,8 +60,8 @@ class TestSimulate:
         hyp = PathHypothesis(72, 61, 25e-9, 110)
         stream = simulate(single_path_scene(hyp), cfg, full_geom)
         expected = virtual_steering_vector(cfg, full_geom, hyp).as_frame_tensor()
-        for frame in stream.frames:
-            assert np.array_equal(frame.tensor, expected)
+        for tensor in stream.tensors:
+            assert np.array_equal(tensor, expected)
 
     def test_deterministic_given_seed(self, cfg, small_geom):
         hyp = PathHypothesis(50, 120, 10e-9, 70)
@@ -68,7 +69,7 @@ class TestSimulate:
                       duration_s=0.05, rng_seed=99)
         a = simulate(scene, cfg, small_geom)
         b = simulate(scene, cfg, small_geom)
-        assert np.array_equal(a.stack(), b.stack())
+        assert np.array_equal(a.tensors, b.tensors)
         assert np.array_equal(a.timestamps_ns, b.timestamps_ns)
 
     def test_different_seed_differs(self, cfg, small_geom):
@@ -76,7 +77,7 @@ class TestSimulate:
         base = dict(snr_db=15.0, duration_s=0.05)
         a = simulate(Scene((ScenePath(hyp),), rng_seed=1, **base), cfg, small_geom)
         b = simulate(Scene((ScenePath(hyp),), rng_seed=2, **base), cfg, small_geom)
-        assert not np.array_equal(a.stack(), b.stack())
+        assert not np.array_equal(a.tensors, b.tensors)
 
     def test_empty_scene_raises(self, cfg, small_geom):
         with pytest.raises(DegenerateSceneError):
@@ -89,7 +90,7 @@ class TestSimulate:
         both = simulate(Scene((p1, p2), **common), cfg, small_geom)
         only1 = simulate(Scene((p1,), **common), cfg, small_geom)
         only2 = simulate(Scene((p2,), **common), cfg, small_geom)
-        np.testing.assert_allclose(both.stack(), only1.stack() + only2.stack(),
+        np.testing.assert_allclose(both.tensors, only1.tensors + only2.tensors,
                                    rtol=0, atol=1e-12)
 
     def test_noise_statistics_match_snr(self, cfg):
@@ -99,8 +100,8 @@ class TestSimulate:
             scene = single_path_scene(hyp, snr_db=snr_db, duration=12.0, seed=11)
             stream = simulate(scene, cfg, geom)
             clean = simulate(single_path_scene(hyp, duration=12.0, seed=11), cfg, geom)
-            noise = stream.stack() - clean.stack()
-            measured = 10 * np.log10(np.mean(np.abs(clean.stack()) ** 2)
+            noise = stream.tensors - clean.tensors
+            measured = 10 * np.log10(np.mean(np.abs(clean.tensors) ** 2)
                                      / np.mean(np.abs(noise) ** 2))
             assert measured == pytest.approx(snr_db, abs=0.5)
 
@@ -127,19 +128,61 @@ class TestGainGate:
             GainGate(period_s=0.0)
 
 
+class TestCsiStreamValidation:
+    @pytest.fixture
+    def arrays(self, small_geom):
+        shape = (5, small_geom.n_rx, small_geom.n_tx, small_geom.n_subcarriers)
+        return np.arange(5, dtype=np.int64) * 1000, np.ones(shape, dtype=complex)
+
+    def test_valid_stream(self, cfg, small_geom, arrays):
+        stream = CsiStream(cfg, small_geom, *arrays)
+        assert len(stream) == 5
+        assert stream.timestamps_ns.dtype == np.int64
+        assert stream.tensors.dtype == complex
+
+    def test_wrong_tensor_shape(self, cfg, small_geom, arrays):
+        ts, tensors = arrays
+        with pytest.raises(ValueError, match=r"packet 0: tensor shape .* geometry"):
+            CsiStream(cfg, small_geom, ts, tensors[:, :, :1])
+        with pytest.raises(ValueError, match="packet 4: 5 timestamps but 4 tensors"):
+            CsiStream(cfg, small_geom, ts, tensors[:4])
+
+    @pytest.mark.parametrize("value", [2000, 1500])
+    def test_non_increasing_timestamps(self, cfg, small_geom, arrays, value):
+        ts, tensors = arrays
+        ts[3:] = value  # packets 3 and 4 are both at fault
+        with pytest.raises(ValueError, match="packet 3: timestamp"):
+            CsiStream(cfg, small_geom, ts, tensors)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, complex(0, -np.inf)])
+    def test_non_finite_values(self, cfg, small_geom, arrays, value):
+        ts, tensors = arrays
+        tensors[2, 1, 0, 3] = value
+        tensors[4, 0, 0, 0] = value
+        with pytest.raises(ValueError, match="packet 2: tensor contains non-finite"):
+            CsiStream(cfg, small_geom, ts, tensors)
+
+    def test_arrays_read_only(self, cfg, small_geom, arrays):
+        stream = CsiStream(cfg, small_geom, *arrays)
+        with pytest.raises(ValueError, match="read-only"):
+            stream.tensors[0, 0, 0, 0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            stream.timestamps_ns[0] = 7
+
+
 class TestInjectPhaseOffsets:
     def test_zero_ranges_are_identity(self, cfg, small_geom):
         stream = simulate(single_path_scene(PathHypothesis(77, 66, 12e-9, 80)),
                           cfg, small_geom)
         out = inject_phase_offsets(stream, seed=5, offset_range=(0.0, 0.0),
                                    slope_range=(0.0, 0.0))
-        assert np.array_equal(out.stack(), stream.stack())
+        assert np.array_equal(out.tensors, stream.tensors)
 
     def test_ratio_constant_across_antenna_pairs(self, cfg, small_geom):
         stream = simulate(single_path_scene(PathHypothesis(77, 66, 12e-9, 80)),
                           cfg, small_geom)
         out = inject_phase_offsets(stream, seed=5)
-        ratio = out.stack() / stream.stack()
+        ratio = out.tensors / stream.tensors
         # per packet, the ratio tensor must not depend on (rx, tx)
         ref = ratio[:, :1, :1, :]
         np.testing.assert_allclose(ratio, np.broadcast_to(ref, ratio.shape),
@@ -151,7 +194,7 @@ class TestInjectPhaseOffsets:
         stream = simulate(single_path_scene(PathHypothesis(90, 90)), cfg, small_geom)
         out = inject_phase_offsets(stream, seed=5, offset_range=(0.0, 0.0),
                                    slope_range=(slope, slope))
-        ratio = out.stack() / stream.stack()
+        ratio = out.tensors / stream.tensors
         rel = ratio[..., n_su - 1] / ratio[..., 0]
         expected = np.exp(-1j * slope * (n_su - 1))
         np.testing.assert_allclose(rel, expected, rtol=1e-12)
@@ -160,7 +203,7 @@ class TestInjectPhaseOffsets:
         stream = simulate(single_path_scene(PathHypothesis(45, 135, 8e-9, 60)),
                           cfg, small_geom)
         out = inject_phase_offsets(stream, seed=17)
-        np.testing.assert_allclose(np.abs(out.stack()), np.abs(stream.stack()),
+        np.testing.assert_allclose(np.abs(out.tensors), np.abs(stream.tensors),
                                    rtol=1e-12)
 
 
@@ -171,9 +214,9 @@ class TestDegradeStream:
         degraded = degrade_stream(stream)
         assert degraded.geometry.n_tx == 1
         assert degraded.geometry.n_subcarriers == 1
-        assert degraded.stack().shape == (10, full_geom.n_rx, 1, 1)
-        np.testing.assert_array_equal(degraded.stack()[:, :, 0, 0],
-                                      stream.stack()[:, :, 0, 0])
+        assert degraded.tensors.shape == (10, full_geom.n_rx, 1, 1)
+        np.testing.assert_array_equal(degraded.tensors[:, :, 0, 0],
+                                      stream.tensors[:, :, 0, 0])
 
 
 class TestHumanWalkPreset:

@@ -23,6 +23,7 @@ geometry is supplied.
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -85,6 +86,10 @@ def read_csif(path, geometry: ArrayGeometry | None = None) -> CsiStream:
         raise CsifFormatError(f"unsupported CSIF version {version}")
     if min(n_rx, n_tx, n_su) < 1:
         raise CsifFormatError(f"invalid dimensions {n_rx}x{n_tx}x{n_su}")
+
+    for name, value in (("carrier_hz", carrier_hz), ("subcarrier_spacing_hz", spacing_hz)):
+        if not (math.isfinite(value) and value > 0):
+            raise CsifFormatError(f"header {name} must be finite and positive, got {value}")
 
     try:
         record = _packet_dtype(n_rx, n_tx, n_su)

@@ -19,10 +19,14 @@ array:
   ``|a|^2 - |E_S^H a|^2``; the 700-odd noise eigenvectors are never formed.
 * The scan never materializes steering vectors.  Basis columns are contracted
   against the tx and subcarrier factor vectors per (tof, aod) grid point and
-  collapsed to a 9 x 9 Hermitian form.  The per-bin denominators of a chunk
-  of angle bins are then one real matrix product of a cached table of
-  rx-factor pair products against those forms, followed by in-place clip,
-  reciprocal and reduction.
+  collapsed to a 9 x 9 Hermitian form.  Every rx element lies in the y == 0
+  plane, so the z-part of an rx pair product depends on elevation alone and,
+  on one elevation row, the pairs collapse onto their distinct x-lags (4 on
+  the default L-array).  One small complex product phases and sums the pair
+  forms per lag and row; the denominators of a chunk of whole elevation rows
+  are then one batched real product of a cached per-row table
+  ``[1 | cos(kappa lag u) | sin(kappa lag u)]`` against those per-row
+  coefficients, followed by in-place clip, reciprocal and reduction.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from .arraymodel import (
     N_ANGLE_BINS,
     ArrayGeometry,
     ChannelConfig,
-    rx_factors,
+    direction_vector,
     subcarrier_factors,
     tx_factors,
 )
@@ -54,7 +58,8 @@ DEFAULT_AOD_GRID_DEG = np.arange(20.0, 161.0, 20.0)
 
 _EIGENVALUE_FLOOR_REL = 1e-9
 _DENOMINATOR_FLOOR_REL = 1e-15
-_CHUNK_BINS = 4096
+_LAG_TOL_WAVELENGTHS = 1e-12
+_CHUNK_DOUBLES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -309,35 +314,70 @@ class Spectrum2D:
         return int(i) + 1, int(j) + 1
 
 
-@functools.lru_cache(maxsize=8)
-def _pair_table(carrier_hz: float, speed_of_light: float, rx_bytes: bytes) -> np.ndarray:
-    """Read-only (bins, 2 * n_pairs) table ``[Qr | Qi]`` for one carrier and rx layout.
+def _pair_indices(rx_positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rx element pairs (k, l), one per unordered pair, oriented so x_k >= x_l."""
+    order = np.argsort(-rx_positions[:, 0], kind="stable")
+    iu, il = np.triu_indices(order.size, 1)
+    return order[iu], order[il]
 
-    Q holds the upper-triangle rx-factor pair products over all 180*180 angle
-    bins; the real and imaginary parts sit side by side so a scan chunk needs
-    one matrix product.  ``speed_of_light`` is fixed by ``ChannelConfig`` and
-    only keys the cache.
+
+@functools.lru_cache(maxsize=8)
+def _lag_tables(carrier_hz: float, speed_of_light: float,
+                rx_bytes: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only per-row table and pair selector for one carrier and rx layout.
+
+    Every rx element lies in the y == 0 plane, so the pair product of elements
+    k and l at (az, el) is exp(-j kappa (dx u + dz cos el)) with
+    u = cos(az) sin(el).  The pairs of :func:`_pair_indices` have dx >= 0;
+    their x-differences are grouped into distinct lags (equal to within
+    ``_LAG_TOL_WAVELENGTHS``), lag 0 first.
+
+    * ``table[el, az]`` is ``[1 | cos(kappa lag u) | sin(kappa lag u)]`` over
+      the nonzero lags, shape (180, 180, 2 * n_lags + 1).
+    * ``selector[el * (n_lags + 1) + lag, p]`` is exp(-j kappa dz_p cos el)
+      where pair p has that lag and 0 elsewhere, so ``selector @ forms`` sums
+      each row's pair forms per lag.
+
+    ``speed_of_light`` is fixed by ``ChannelConfig`` and only keys the cache.
     """
-    geom = ArrayGeometry(np.frombuffer(rx_bytes).reshape(-1, 3))
+    pos = np.frombuffer(rx_bytes).reshape(-1, 3)
+    k, l = _pair_indices(pos)
+    dx = pos[k, 0] - pos[l, 0]
+    dz = pos[k, 2] - pos[l, 2]
+    tol = _LAG_TOL_WAVELENGTHS * speed_of_light / carrier_hz
+    lags: list[float] = []
+    lag_index = np.zeros(dx.size, dtype=int)
+    for p in np.argsort(dx, kind="stable"):
+        if dx[p] <= tol:
+            continue
+        if not lags or dx[p] - lags[-1] > tol:
+            lags.append(float(dx[p]))
+        lag_index[p] = len(lags)
+
+    kappa = 2.0 * np.pi * carrier_hz / speed_of_light
     angles = np.arange(1, N_ANGLE_BINS + 1, dtype=float)
-    az = np.repeat(angles, N_ANGLE_BINS)
-    el = np.tile(angles, N_ANGLE_BINS)
-    table = rx_factors(ChannelConfig(carrier_hz), geom, az, el)  # (bins, n_rx), unit magnitude
-    iu, il = np.triu_indices(geom.n_rx, 1)
-    pairs = table[:, iu] * table[:, il].conj()
-    stacked = np.concatenate([pairs.real, pairs.imag], axis=1)
-    stacked.setflags(write=False)
-    return stacked
+    d = direction_vector(angles[None, :], angles[:, None])    # (el, az, 3)
+    phase = (kappa * d[..., 0])[..., None] * np.array(lags)  # (el, az, n_lags)
+    table = np.concatenate([np.ones((N_ANGLE_BINS, N_ANGLE_BINS, 1)),
+                            np.cos(phase), np.sin(phase)], axis=2)
+    selector = np.zeros((N_ANGLE_BINS, len(lags) + 1, dx.size), dtype=complex)
+    selector[:, lag_index, np.arange(dx.size)] = np.exp(
+        -1j * kappa * d[:, 0, 2, None] * dz)
+    selector = selector.reshape(N_ANGLE_BINS * (len(lags) + 1), dx.size)
+    table.setflags(write=False)
+    selector.setflags(write=False)
+    return table, selector
 
 
 def _basis_pair_forms(basis: np.ndarray, cfg: ChannelConfig, geom: ArrayGeometry,
                       grids: GridSpec):
-    """Collapse basis columns into per-(tof, aod) n_rx x n_rx Hermitian forms.
+    """Collapse basis columns into per-(tof, aod) n_rx x n_rx Hermitian forms H.
 
-    Returns (diag_sums, h) where for each grid point w the per-bin projected
-    power is diag_sums[w] - [Qr | Qi] @ h[:, w] with [Qr | Qi] the rx
-    pair-product table, i.e. h stacks -2 Re and 2 Im of the upper-triangle
-    form entries.
+    The projected power of rx factor vector a at grid point w is
+    sum_{k,l} a_k conj(a_l) H_w[k, l].  Returns (diag_sums, forms):
+    diag_sums[w] is the trace of H_w (every |a_k| is 1), and forms[p, w] is
+    H_w[k, l] for pair p = (k, l) of :func:`_pair_indices`.  A pair read
+    below the diagonal is the conjugate of its upper-triangle entry.
     """
     n_rx, n_tx, n_su = geom.n_rx, geom.n_tx, geom.n_subcarriers
     a_tx = tx_factors(cfg, n_tx, grids.aod_grid_deg)          # (n_w, n_tx)
@@ -351,9 +391,8 @@ def _basis_pair_forms(basis: np.ndarray, cfg: ChannelConfig, geom: ArrayGeometry
     g = g.transpose(2, 3, 0, 1).reshape(n_t * n_w, n_rx, cols)
     h = g @ g.conj().transpose(0, 2, 1)                       # (wt, rx, rx)
     diag_sums = np.einsum("wkk->w", h).real
-    iu, il = np.triu_indices(n_rx, 1)
-    hv = h[:, iu, il].T                                       # (n_pairs, wt)
-    return diag_sums, np.concatenate([-2.0 * hv.real, 2.0 * hv.imag])
+    k, l = _pair_indices(geom.rx_positions)
+    return diag_sums, np.ascontiguousarray(h[:, k, l].T)     # (n_pairs, wt)
 
 
 def spectrum(subspace: NoiseSubspace, grids: GridSpec | None, cfg: ChannelConfig,
@@ -364,7 +403,7 @@ def spectrum(subspace: NoiseSubspace, grids: GridSpec | None, cfg: ChannelConfig
     For every angle bin the spatial spectrum 1 / (a^H E_N E_N^H a) is evaluated
     on the full (tof, aod) grid via the Kronecker factorization of the steering
     vector and reduced with ``sum`` (default) or ``max``.  Output is identical
-    for any ``threads`` value; threads only split the angle bins, in fixed
+    for any ``threads`` value; threads only split the elevation rows, in fixed
     chunks that each thread evaluates in its own buffer.
     """
     if grids is None:
@@ -378,44 +417,53 @@ def spectrum(subspace: NoiseSubspace, grids: GridSpec | None, cfg: ChannelConfig
         raise ValueError(f"subspace dimension {subspace.dim} does not match "
                          f"geometry dimension {dim}")
 
-    table = _pair_table(cfg.carrier_hz, cfg.speed_of_light, geom.rx_positions.tobytes())
+    table, selector = _lag_tables(cfg.carrier_hz, cfg.speed_of_light,
+                                  geom.rx_positions.tobytes())
     basis = subspace.signal_basis
 
-    n_bins = N_ANGLE_BINS * N_ANGLE_BINS
+    n = N_ANGLE_BINS
     floor = dim * _DENOMINATOR_FLOOR_REL
-    image = np.empty(n_bins)
+    image = np.empty((n, n))                                  # [el, az]
 
     if basis.shape[1] == 0:
         # Every direction counts as noise: a^H E_N E_N^H a = |a|^2 = dim.
         value = 1.0 / dim
         image.fill(value * (grids.tof_grid_s.size * grids.aod_grid_deg.size)
                    if reduce == "sum" else value)
-        return Spectrum2D(image.reshape(N_ANGLE_BINS, N_ANGLE_BINS), timestamp_ns)
+        return Spectrum2D(image, timestamp_ns)
 
-    diag_sums, h = _basis_pair_forms(basis, cfg, geom, grids)
-    offset = dim - diag_sums
+    diag_sums, forms = _basis_pair_forms(basis, cfg, geom, grids)
+    n_w = forms.shape[1]
+    n_lags = (table.shape[2] - 1) // 2
+    # den = dim - power; with C_lag = sum of phased forms per lag and row,
+    # power = diag_sums + 2 Re C_0 + 2 sum_lag (cos Re C_lag + sin Im C_lag),
+    # so den[el] = table[el] @ coef[el] with coef = [offset | -2 Re C | -2 Im C].
+    sums = (selector @ forms).reshape(n, n_lags + 1, n_w)
+    coef = np.empty((n, 2 * n_lags + 1, n_w))
+    np.multiply(sums.real, -2.0, out=coef[:, :n_lags + 1])
+    np.multiply(sums.imag[:, 1:], -2.0, out=coef[:, n_lags + 1:])
+    coef[:, 0] += dim - diag_sums
     reducer = np.sum if reduce == "sum" else np.max
+    rows = max(1, _CHUNK_DOUBLES // (n * n_w))
 
     def run_chunks(starts):
-        # den = dim - power = (dim - diag_sums) + table @ h, then 1 / den reduced
-        buf = np.empty((_CHUNK_BINS, h.shape[1]))
+        buf = np.empty((rows, n, n_w))
         for start in starts:
-            stop = min(start + _CHUNK_BINS, n_bins)
+            stop = min(start + rows, n)
             den = buf[:stop - start]
-            np.matmul(table[start:stop], h, out=den)
-            den += offset
-            np.clip(den, floor, None, out=den)
+            np.matmul(table[start:stop], coef[start:stop], out=den)
+            np.maximum(den, floor, out=den)
             np.reciprocal(den, out=den)
-            reducer(den, axis=1, out=image[start:stop])
+            reducer(den, axis=2, out=image[start:stop])
 
-    starts = range(0, n_bins, _CHUNK_BINS)
+    starts = range(0, n, rows)
     if threads == 1:
         run_chunks(starts)
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             for done in [pool.submit(run_chunks, starts[i::threads]) for i in range(threads)]:
                 done.result()
-    return Spectrum2D(image.reshape(N_ANGLE_BINS, N_ANGLE_BINS), timestamp_ns)
+    return Spectrum2D(np.ascontiguousarray(image.T), timestamp_ns)
 
 
 def detect_peaks(spec: Spectrum2D, min_prominence_db: float = 6.0,

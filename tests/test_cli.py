@@ -121,6 +121,15 @@ class TestErrorReports:
         assert "Traceback (most recent call last)" in loud.stderr
         assert "wivision.csif.CsifFormatError: packet 3" in loud.stderr
 
+    def test_bad_carrier_header_is_2(self, tmp_path, capsys):
+        path = tmp_path / "carrier.csif"
+        path.write_bytes(struct.pack("<4sHHHHddQ", b"CSIF", 1, 3, 2, 8, np.nan,
+                                     1.25e6, 0))
+        assert run("spectrum", "--in", path, "--out", tmp_path / "o") == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            "wivision: input error: header carrier_hz must be finite and positive, "
+            "got nan\n")
+
 
 class TestPipelineCommands:
     def test_simulate_then_spectrum(self, scene_file, tmp_path):

@@ -162,6 +162,18 @@ class TestCsifRecordLayout:
         with pytest.raises(CsifFormatError, match="invalid dimensions"):
             read_csif(path)
 
+    @pytest.mark.parametrize("value", [math.nan, 0.0, -1.0])
+    @pytest.mark.parametrize("field", ["carrier_hz", "subcarrier_spacing_hz"])
+    def test_bad_channel_header(self, tmp_path, field, value):
+        path = tmp_path / "bad.csif"
+        channel = {"carrier_hz": 5.18e9, "subcarrier_spacing_hz": 1.25e6, field: value}
+        path.write_bytes(struct.pack("<4sHHHHddQ", b"CSIF", 1, 3, 2, 8,
+                                     channel["carrier_hz"],
+                                     channel["subcarrier_spacing_hz"], 0))
+        with pytest.raises(CsifFormatError,
+                           match=f"header {field} must be finite and positive, got {value}"):
+            read_csif(path)
+
 
 class TestSpectrumExport:
     def test_all_zero_pgm(self, tmp_path):

@@ -23,7 +23,8 @@ from wivision import (
     windows,
 )
 from wivision import inject_phase_offsets
-from wivision.music import _pair_table, estimate_source_count, vectorize_frames
+from wivision.arraymodel import ArrayGeometry, steering_tensor
+from wivision.music import _lag_tables, estimate_source_count, vectorize_frames
 from wivision.simulate import six_reflector_scene
 
 
@@ -41,6 +42,38 @@ def make_stream(cfg, geom, paths, snr_db=math.inf, duration=0.1, seed=0):
 def small_grids():
     return GridSpec(tof_grid_s=np.arange(8) * 10e-9,
                     aod_grid_deg=np.array([45.0, 90.0, 135.0]))
+
+
+def irregular_geometry(cfg):
+    """Five y == 0 elements, four off both axes; some |dx| repeat, some do not."""
+    pos = np.array([[0.0, 0.0, 0.0], [0.5, 0.0, 0.3], [1.0, 0.0, -0.2],
+                    [0.37, 0.0, 0.8], [1.37, 0.0, 0.45]]) * cfg.wavelength_m
+    return ArrayGeometry(pos, n_tx=2, n_subcarriers=3)
+
+
+def assert_matches_explicit_scan(cfg, geom, rng, reduce, rel):
+    """Compare ``spectrum`` with the textbook 1 / |E_N^H a|^2 at random bins."""
+    stream = make_stream(cfg, geom,
+                         jittered_paths([(70.0, 80.0, 12e-9, 70.0, 1.0),
+                                         (120.0, 60.0, 30e-9, 110.0, 0.6)]),
+                         snr_db=20.0, duration=0.04)
+    w = windows(stream, 40, 40)[0]
+    sub = noise_subspace(covariance(w), s_hat=2)
+    grids = GridSpec(tof_grid_s=np.array([0.0, 15e-9]),
+                     aod_grid_deg=np.array([70.0, 110.0]))
+    spec = spectrum(sub, grids, cfg, geom, reduce=reduce)
+    en = sub.basis
+    azs = rng.integers(1, 181, 40)
+    els = rng.integers(1, 181, 40)
+    for az, el in zip(azs, els):
+        values = []
+        for tof in grids.tof_grid_s:
+            for aod in grids.aod_grid_deg:
+                a = steering_tensor(cfg, geom, float(az), float(el), tof,
+                                    float(aod)).transpose(1, 0, 2).reshape(-1)
+                values.append(1.0 / np.linalg.norm(en.conj().T @ a) ** 2)
+        expected = sum(values) if reduce == "sum" else max(values)
+        assert spec.grid[az - 1, el - 1] == pytest.approx(expected, rel=rel)
 
 
 class TestWindows:
@@ -261,29 +294,21 @@ class TestSpectrum:
 
     def test_matches_explicit_noise_basis(self, cfg, rng):
         # factorized evaluation equals the textbook a^H En En^H a scan
-        from wivision.arraymodel import ArrayGeometry, steering_tensor
         geom = ArrayGeometry.l_shaped(cfg.wavelength_m / 2.0, arm_x=2, arm_z=2,
                                       n_tx=2, n_subcarriers=4)
-        stream = make_stream(cfg, geom,
-                             jittered_paths([(70.0, 80.0, 12e-9, 70.0, 1.0),
-                                             (120.0, 60.0, 30e-9, 110.0, 0.6)]),
-                             snr_db=20.0, duration=0.04)
-        w = windows(stream, 40, 40)[0]
-        sub = noise_subspace(covariance(w), s_hat=2)
-        grids = GridSpec(tof_grid_s=np.array([0.0, 15e-9]),
-                         aod_grid_deg=np.array([70.0, 110.0]))
-        spec = spectrum(sub, grids, cfg, geom)
-        en = sub.basis
-        azs = rng.integers(1, 181, 40)
-        els = rng.integers(1, 181, 40)
-        for az, el in zip(azs, els):
-            total = 0.0
-            for tof in grids.tof_grid_s:
-                for aod in grids.aod_grid_deg:
-                    a = steering_tensor(cfg, geom, float(az), float(el), tof,
-                                        float(aod)).transpose(1, 0, 2).reshape(-1)
-                    total += 1.0 / np.linalg.norm(en.conj().T @ a) ** 2
-            assert spec.grid[az - 1, el - 1] == pytest.approx(total, rel=1e-6)
+        assert_matches_explicit_scan(cfg, geom, rng, "sum", rel=1e-6)
+
+    @pytest.mark.parametrize("reduce", ["sum", "max"])
+    @pytest.mark.parametrize("layout", ["l_array", "irregular", "single_rx"])
+    def test_matches_explicit_noise_basis_per_layout(self, cfg, rng, layout, reduce):
+        if layout == "l_array":
+            geom = ArrayGeometry.l_shaped(cfg.wavelength_m / 2.0, n_tx=2,
+                                          n_subcarriers=3)
+        elif layout == "irregular":
+            geom = irregular_geometry(cfg)
+        else:  # no element pairs at all
+            geom = ArrayGeometry(np.zeros((1, 3)), n_tx=2, n_subcarriers=3)
+        assert_matches_explicit_scan(cfg, geom, rng, reduce, rel=1e-9)
 
     def test_two_separated_paths_peaks(self, cfg, small_geom):
         specs = [(60.0, 60.0, 10e-9, 70.0, 1.0), (110.0, 100.0, 35e-9, 120.0, 0.8)]
@@ -340,17 +365,43 @@ class TestSpectrum:
             assert np.array_equal(a.grid, b.grid)
 
     def test_pair_table_cached_once_per_layout(self, cfg, small_geom):
-        _pair_table.cache_clear()
+        _lag_tables.cache_clear()
         sub = NoiseSubspace(np.eye(small_geom.dim, 1, dtype=complex), 1)
         spectrum(sub, small_grids(), cfg, small_geom)
         spectrum(sub, small_grids(), cfg, small_geom, reduce="max")
-        info = _pair_table.cache_info()
+        info = _lag_tables.cache_info()
         assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
-        table = _pair_table(cfg.carrier_hz, cfg.speed_of_light,
-                            small_geom.rx_positions.tobytes())
+        table, selector = _lag_tables(cfg.carrier_hz, cfg.speed_of_light,
+                                      small_geom.rx_positions.tobytes())
+        # elements at x = 0, s, 0: one nonzero x-lag
         n_pairs = small_geom.n_rx * (small_geom.n_rx - 1) // 2
-        assert table.shape == (180 * 180, 2 * n_pairs)
+        assert table.shape == (180, 180, 3)
+        assert selector.shape == (180 * 2, n_pairs)
         assert not table.flags.writeable
+        assert not selector.flags.writeable
+
+    def test_default_l_array_has_four_x_lags(self, cfg, full_geom):
+        # x-differences of i * spacing differ in their last bits; they still
+        # collapse onto the lags 1..4 spacings
+        table, selector = _lag_tables(cfg.carrier_hz, cfg.speed_of_light,
+                                      full_geom.rx_positions.tobytes())
+        assert table.shape == (180, 180, 2 * 4 + 1)
+        assert selector.shape == (180 * (4 + 1), 36)
+
+    @pytest.mark.parametrize("xs, n_lags", [
+        ((0.0, 0.5, 1.0, 0.37, 1.37), 7),  # 0.37, 0.5, 1.0 twice; 0.13, 0.63, 0.87, 1.37
+        ((0.0, 0.25, 0.75, 1.75), 6),      # all six |dx| differ: one lag per pair
+        ((0.0, 0.5, 1.0 + 1e-13), 2),      # 0.5 and 0.5 + 1e-13 share a lag
+        ((0.0, 0.5, 1.0 + 1e-9), 3),       # 0.5 and 0.5 + 1e-9 do not
+        ((0.0, 1e-13, 0.5), 1),            # 1e-13 counts as the zero lag
+    ])
+    def test_lag_count(self, cfg, xs, n_lags):
+        # x positions in wavelengths; lags agree to within 1e-12 wavelengths
+        pos = np.array([[x, 0.0, 0.3 * i] for i, x in enumerate(xs)]) * cfg.wavelength_m
+        table, selector = _lag_tables(cfg.carrier_hz, cfg.speed_of_light, pos.tobytes())
+        n_pairs = len(xs) * (len(xs) - 1) // 2
+        assert table.shape == (180, 180, 2 * n_lags + 1)
+        assert selector.shape == (180 * (n_lags + 1), n_pairs)
 
     def test_sanitized_offset_injected_matches_clean(self, cfg, small_geom):
         specs = [(60.0, 80.0, 15e-9, 75.0, 1.0), (130.0, 95.0, 35e-9, 110.0, 0.4)]

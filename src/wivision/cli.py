@@ -83,9 +83,9 @@ def _build_parser() -> _Parser:
                    help="1 packet / 1 tx / 1 subcarrier configuration")
     p.add_argument("--sources", type=int, default=None,
                    help="fix the source count instead of estimating it")
-    p.add_argument("--tau-grid-ns", type=str, default=None,
+    p.add_argument("--tau-grid-ns", type=_grid_type("tof_grid_s", 1e-9),
                    help="comma list or start:stop:step, nanoseconds")
-    p.add_argument("--aod-grid-deg", type=str, default=None,
+    p.add_argument("--aod-grid-deg", type=_grid_type("aod_grid_deg", 1.0),
                    help="comma list or start:stop:step, degrees")
     p.add_argument("--reduce", choices=("sum", "max"), default="sum")
 
@@ -121,29 +121,38 @@ def _build_parser() -> _Parser:
     p.add_argument("--floor-db", type=float, default=imaging.DEFAULT_FLOOR_DB)
     p.add_argument("--frames", type=int, default=imaging.DEFAULT_AGGREGATE_FRAMES)
     p.add_argument("--static-mode", choices=("rolling", "global"), default="rolling")
-    p.add_argument("--tau-grid-ns", type=str, default=None)
-    p.add_argument("--aod-grid-deg", type=str, default=None)
+    p.add_argument("--tau-grid-ns", type=_grid_type("tof_grid_s", 1e-9))
+    p.add_argument("--aod-grid-deg", type=_grid_type("aod_grid_deg", 1.0))
     return parser
 
 
-def _parse_grid(text: str | None, default: np.ndarray, scale: float) -> np.ndarray:
-    if text is None:
-        return default
-    if ":" in text:
-        start, stop, step = (float(p) for p in text.split(":"))
-        values = np.arange(start, stop + step / 2, step)
-    else:
-        values = np.array([float(p) for p in text.split(",")])
-    return values * scale
+def _grid_type(field: str, scale: float):
+    """argparse type of a grid flag: a comma list or start:stop:step.
+
+    Values are scaled by ``scale`` to the unit of the :class:`music.GridSpec`
+    ``field`` and checked by it, so a malformed flag is a usage error naming it.
+    """
+    def parse(text: str) -> np.ndarray:
+        try:
+            if ":" in text:
+                bounds = [float(p) for p in text.split(":")]
+                if len(bounds) != 3:
+                    raise ValueError("expected start:stop:step")
+                start, stop, step = bounds
+                if not step > 0:
+                    raise ValueError(f"step must be positive, got {step:g}")
+                values = np.arange(start, stop + step / 2, step)
+            else:
+                values = np.array([float(p) for p in text.split(",")])
+            return getattr(music.GridSpec(**{field: values * scale}), field)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"{text!r}: {exc}") from None
+    return parse
 
 
 def _grids_from_args(args) -> music.GridSpec:
-    return music.GridSpec(
-        tof_grid_s=_parse_grid(getattr(args, "tau_grid_ns", None),
-                               music.DEFAULT_TOF_GRID_S, 1e-9),
-        aod_grid_deg=_parse_grid(getattr(args, "aod_grid_deg", None),
-                                 music.DEFAULT_AOD_GRID_DEG, 1.0),
-    )
+    given = {"tof_grid_s": args.tau_grid_ns, "aod_grid_deg": args.aod_grid_deg}
+    return music.GridSpec(**{k: v for k, v in given.items() if v is not None})
 
 
 def _load_bundle(args) -> scenefile.SceneBundle:
@@ -273,11 +282,13 @@ def _compute_spectra(stream: CsiStream, args,
         raise ValueError(f"stream of {len(stream)} packets is shorter than one "
                          f"{window_len}-packet window")
     sources = getattr(args, "sources", None)
+    reduce = getattr(args, "reduce", "sum")
     track = []
     for w in wins:
         sub = music.noise_subspace_from_window(w, s_hat=sources)
         track.append(music.spectrum(sub, grids, stream.config, stream.geometry,
-                                    threads=args.threads, timestamp_ns=w.timestamp_ns))
+                                    reduce=reduce, threads=args.threads,
+                                    timestamp_ns=w.timestamp_ns))
     return track
 
 

@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 
 import wivision
-from wivision import cli
-from wivision.csif import packet_size_bytes
+from wivision import cli, music
+from wivision.csif import packet_size_bytes, read_csif
+from wivision.export import read_spectrum_csv
+from wivision.sanitize import sanitize
 from wivision.cli import EXIT_INPUT, EXIT_OK, EXIT_USAGE, main
 
 SCENE = """
@@ -82,6 +84,21 @@ class TestExitCodes:
         broken.write_bytes(b"not a csif file")
         assert run("spectrum", "--in", broken, "--out", tmp_path / "o") == EXIT_INPUT
 
+    @pytest.mark.parametrize("command", ["spectrum", "pipeline"])
+    @pytest.mark.parametrize("flag, value, reason", [
+        ("--tau-grid-ns", "0:10:0", "step must be positive, got 0"),
+        ("--tau-grid-ns", "1:2", "expected start:stop:step"),
+        ("--aod-grid-deg", "inf", "aod_grid_deg must be finite, got [inf]"),
+    ])
+    def test_malformed_grid_flag_is_1(self, tmp_path, capsys, command, flag, value,
+                                      reason):
+        # rejected while parsing, before the input is read or any window scanned
+        source = ("--in", tmp_path / "nope.csif") if command == "spectrum" else (
+            "--scene", tmp_path / "nope.ini")
+        assert run(command, *source, "--out", tmp_path / "o", flag, value) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"wivision: error: argument {flag}: {value!r}: {reason}\n")
+
 
 def non_finite_csif(scene_file, tmp_path):
     """A simulated CSIF stream whose packet 3 holds a NaN."""
@@ -143,6 +160,25 @@ class TestPipelineCommands:
         csvs = sorted(outdir.glob("*.csv"))
         pgms = sorted(outdir.glob("*.pgm"))
         assert len(csvs) == 4 and len(pgms) == 4
+
+    def test_reduce_max_reaches_spectrum(self, scene_file, tmp_path):
+        csif_path = tmp_path / "stream.csif"
+        run("simulate", "--scene", scene_file, "--out", csif_path)
+        grids = ("--tau-grid-ns", "0,10,20", "--aod-grid-deg", "60,90,120")
+        images = {}
+        for reduce in ("sum", "max"):
+            outdir = tmp_path / reduce
+            assert run("spectrum", "--in", csif_path, "--stride", 200, "--out", outdir,
+                       "--reduce", reduce, *grids) == EXIT_OK
+            images[reduce] = read_spectrum_csv(outdir / "spectrum_00000.csv").grid
+        stream = sanitize(read_csif(csif_path))
+        sub = music.noise_subspace_from_window(music.windows(stream, 100, 200)[0])
+        expected = music.spectrum(
+            sub, music.GridSpec(np.array([0.0, 10.0, 20.0]) * 1e-9,
+                                np.array([60.0, 90.0, 120.0])),
+            stream.config, stream.geometry, reduce="max")
+        assert np.array_equal(images["max"], expected.grid)
+        assert not np.allclose(images["max"], images["sum"])
 
     def test_enhance_and_aggregate(self, scene_file, tmp_path):
         csif_path = tmp_path / "stream.csif"

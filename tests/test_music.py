@@ -268,6 +268,14 @@ class TestGramSubspace:
         assert np.all(np.isfinite(spectrum(sub, small_grids(), cfg, small_geom).grid))
 
 
+class TestGridSpec:
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("field", ["tof_grid_s", "aod_grid_deg"])
+    def test_rejects_non_finite(self, field, bad):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            GridSpec(**{field: np.array([1.0, 2.0, bad])})
+
+
 class TestSpectrum:
     def test_single_path_argmax(self, cfg, small_geom):
         stream = make_stream(cfg, small_geom,
@@ -362,6 +370,18 @@ class TestSpectrum:
         a = spectrum(sub, small_grids(), cfg, small_geom, threads=1)
         for threads in (2, 3, 4, 9):
             b = spectrum(sub, small_grids(), cfg, small_geom, threads=threads)
+            assert np.array_equal(a.grid, b.grid)
+
+    def test_threads_bit_identical_reduce_max(self, cfg, small_geom):
+        # max is inverted once after the row threads join
+        stream = make_stream(cfg, small_geom,
+                             jittered_paths([(70.0, 80.0, 12e-9, 70.0, 1.0)]),
+                             snr_db=15.0, duration=0.05)
+        sub = noise_subspace_from_window(windows(stream, 50, 50)[0])
+        a = spectrum(sub, small_grids(), cfg, small_geom, reduce="max")
+        for threads in (2, 3):
+            b = spectrum(sub, small_grids(), cfg, small_geom, reduce="max",
+                         threads=threads)
             assert np.array_equal(a.grid, b.grid)
 
     def test_pair_table_cached_once_per_layout(self, cfg, small_geom):

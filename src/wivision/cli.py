@@ -126,6 +126,9 @@ def _build_parser() -> _Parser:
     return parser
 
 
+_MAX_GRID_POINTS = 4096
+
+
 def _grid_type(field: str, scale: float):
     """argparse type of a grid flag: a comma list or start:stop:step.
 
@@ -141,6 +144,9 @@ def _grid_type(field: str, scale: float):
                 start, stop, step = bounds
                 if not step > 0:
                     raise ValueError(f"step must be positive, got {step:g}")
+                if not (stop - start) / step < _MAX_GRID_POINTS:
+                    raise ValueError(f"range must hold at most {_MAX_GRID_POINTS} "
+                                     "finite points")
                 values = np.arange(start, stop + step / 2, step)
             else:
                 values = np.array([float(p) for p in text.split(",")])

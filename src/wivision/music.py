@@ -26,12 +26,11 @@ array:
   forms per lag and row; the denominators of a chunk of whole elevation rows
   are then one batched real product of a cached per-row table
   ``[1 | cos(kappa lag u) | sin(kappa lag u)]`` against those per-row
-  coefficients.  The tail then makes as few passes over the chunk as the image
-  needs: the clip runs only when the chunk's minimum falls below the floor,
-  ``sum`` is the reciprocal reduced by one matrix-vector product with a ones
-  vector, and ``max`` takes the minimum denominator and inverts the 180 x 180
-  image once, since 1/x is monotone.  A full image takes about 9.4 ms per
-  window on a 2-core Xeon (s_hat 12), of which the reciprocal is about 3 ms.
+  coefficients.  The tail is a gated clip (it runs only when the chunk's
+  minimum falls below the floor), the reciprocal, and a reduction: ``sum`` is
+  one matrix-vector product with a ones vector, ``max`` is ``np.max``.  A full
+  image takes about 9.4 ms per window on a 2-core Xeon (s_hat 12), of which
+  the reciprocal is about 3 ms.
 """
 
 from __future__ import annotations
@@ -459,17 +458,15 @@ def spectrum(subspace: NoiseSubspace, grids: GridSpec | None, cfg: ChannelConfig
             stop = min(start + rows, n)
             den = buf[:stop - start]
             np.matmul(table[start:stop], coef[start:stop], out=den)
-            if reduce == "max":
-                # max_w 1/max(d_w, f) == 1/max(min_w d_w, f), since a correctly
-                # rounded reciprocal is monotone; clamped and inverted below.
-                np.min(den, axis=2, out=image[start:stop])
-                continue
             # A read-only minimum is cheaper than the clamp it usually skips;
-            # NaN fails the test and is clamped as before.
+            # NaN fails the test, so the clamp still runs (and leaves it NaN).
             if not den.min() >= floor:
                 np.maximum(den, floor, out=den)
             np.reciprocal(den, out=den)
-            np.matmul(den, ones, out=image[start:stop])
+            if reduce == "sum":
+                np.matmul(den, ones, out=image[start:stop])
+            else:
+                np.max(den, axis=2, out=image[start:stop])
 
     starts = range(0, n, rows)
     if threads == 1:
@@ -478,9 +475,6 @@ def spectrum(subspace: NoiseSubspace, grids: GridSpec | None, cfg: ChannelConfig
         with ThreadPoolExecutor(max_workers=threads) as pool:
             for done in [pool.submit(run_chunks, starts[i::threads]) for i in range(threads)]:
                 done.result()
-    if reduce == "max":
-        np.maximum(image, floor, out=image)
-        np.reciprocal(image, out=image)
     return Spectrum2D(np.ascontiguousarray(image.T), timestamp_ns)
 
 

@@ -88,6 +88,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("flag, value, reason", [
         ("--tau-grid-ns", "0:10:0", "step must be positive, got 0"),
         ("--tau-grid-ns", "1:2", "expected start:stop:step"),
+        ("--tau-grid-ns", "0:1e9:1e-9", "range must hold at most 4096 finite points"),
+        ("--aod-grid-deg", "0:inf:1", "range must hold at most 4096 finite points"),
         ("--aod-grid-deg", "inf", "aod_grid_deg must be finite, got [inf]"),
     ])
     def test_malformed_grid_flag_is_1(self, tmp_path, capsys, command, flag, value,

@@ -372,18 +372,6 @@ class TestSpectrum:
             b = spectrum(sub, small_grids(), cfg, small_geom, threads=threads)
             assert np.array_equal(a.grid, b.grid)
 
-    def test_threads_bit_identical_reduce_max(self, cfg, small_geom):
-        # max is inverted once after the row threads join
-        stream = make_stream(cfg, small_geom,
-                             jittered_paths([(70.0, 80.0, 12e-9, 70.0, 1.0)]),
-                             snr_db=15.0, duration=0.05)
-        sub = noise_subspace_from_window(windows(stream, 50, 50)[0])
-        a = spectrum(sub, small_grids(), cfg, small_geom, reduce="max")
-        for threads in (2, 3):
-            b = spectrum(sub, small_grids(), cfg, small_geom, reduce="max",
-                         threads=threads)
-            assert np.array_equal(a.grid, b.grid)
-
     def test_pair_table_cached_once_per_layout(self, cfg, small_geom):
         _lag_tables.cache_clear()
         sub = NoiseSubspace(np.eye(small_geom.dim, 1, dtype=complex), 1)

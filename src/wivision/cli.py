@@ -61,7 +61,8 @@ def _build_parser() -> _Parser:
     parser.add_argument("--seed", type=int, default=None,
                         help="override the scene seed / offset-injection seed")
     parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for spectrum evaluation")
+                        help="worker threads for spectrum evaluation (on a 2-vCPU "
+                             "host, 2 is slower than the default 1)")
     parser.add_argument("--config", type=Path, default=None,
                         help="scene-format file supplying channel/geometry overrides")
     parser.add_argument("-v", "--verbose", action="store_true")
@@ -227,7 +228,7 @@ class _SpectrumWriter:
         self._frames = 0
         self._started = time.perf_counter()
         if self._processes:
-            export._csv_row_prefixes()  # built before the fork, so every worker inherits it
+            export._csv_tables()  # built before the fork, so every worker inherits them
             self._pool = ProcessPoolExecutor(
                 self._processes, mp_context=multiprocessing.get_context("fork"))
 

@@ -150,6 +150,46 @@ class TestErrorReports:
             "got nan\n")
 
 
+def spectrum_csv_text(rows=None) -> str:
+    """A spectrum CSV; ``rows`` replaces the data rows of a valid one."""
+    if rows is None:
+        rows = [f"{a},{e},1.0" for a in range(1, 181) for e in range(1, 181)]
+    return "azimuth,elevation,power\n" + "".join(f"{r}\n" for r in rows)
+
+
+def repeated_bin_rows():
+    rows = spectrum_csv_text().splitlines()[1:]
+    rows[1] = "1,1,1.0"  # azimuth 1, elevation 2 replaced by a second (1, 1)
+    return rows
+
+
+class TestSpectrumCsvInput:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("text, reason", [
+        (spectrum_csv_text(["1,1,abc"]),
+         "could not convert string 'abc' to float64 at row 0, column 3."),
+        (spectrum_csv_text(["1,1,1.0"]),
+         "spectrum CSV must have 32400 data rows of azimuth,elevation,power; got (1, 3)"),
+        ("", "spectrum CSV must have 32400 data rows of azimuth,elevation,power; "
+             "got (0, 1)"),
+        (spectrum_csv_text(repeated_bin_rows()),
+         "spectrum CSV has no row for azimuth 1, elevation 2; "
+         "every bin must appear exactly once"),
+        (spectrum_csv_text(["1.5,1,1.0"] + repeated_bin_rows()[1:]),
+         "spectrum CSV angles must be whole degrees in [1, 180]"),
+        (spectrum_csv_text(spectrum_csv_text().splitlines()[1:-1] + ["180,180,-1.0"]),
+         "spectrum values must be finite and >= 0"),
+    ], ids=["not-a-number", "one-row", "empty", "repeated-bin", "fractional-angle",
+            "negative-power"])
+    def test_bad_csv_names_file(self, tmp_path, capsys, text, reason):
+        indir = tmp_path / "enhanced"
+        indir.mkdir()
+        bad = indir / "enhanced_00000.csv"
+        bad.write_text(text)
+        assert run("aggregate", "--in", indir, "--out", tmp_path / "agg.csv") == EXIT_INPUT
+        assert capsys.readouterr().err == f"wivision: input error: {bad}: {reason}\n"
+
+
 class TestPipelineCommands:
     def test_simulate_then_spectrum(self, scene_file, tmp_path):
         csif_path = tmp_path / "stream.csif"

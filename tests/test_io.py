@@ -1,8 +1,11 @@
 import math
 import struct
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wivision import (
     ArrayGeometry,
@@ -19,7 +22,7 @@ from wivision import (
     write_csif,
 )
 from wivision.csif import packet_size_bytes
-from wivision.export import read_spectrum_csv, write_pgm, write_spectrum_csv
+from wivision.export import _csv_rows, read_spectrum_csv, write_pgm, write_spectrum_csv
 
 
 @pytest.fixture
@@ -175,6 +178,48 @@ class TestCsifRecordLayout:
             read_csif(path)
 
 
+def repr_rows(values) -> bytes:
+    """The CSV rows of ``values`` as the original writer made them, with ``repr``."""
+    return "".join(f"{i // 180 + 1},{i % 180 + 1},{v!r}\n"
+                   for i, v in enumerate(np.asarray(values, dtype=float).tolist())).encode()
+
+
+def edge_floats() -> np.ndarray:
+    """Finite doubles >= 0 where shortest round-trip formatting is easy to get wrong."""
+    values = np.concatenate([
+        [0.0, -0.0, 1e-4, 1e16, 2.0 ** 53, sys.float_info.max,
+         5.5700836480063944e16,  # an interval end is a shorter decimal; c is even
+         9845058151738.812],     # s and s + 1 are equally close; the even one wins
+        np.ldexp(1.0, np.arange(-1074, 1024)),  # 5e-324, 2^-1022, ...: spacing changes
+        [float(f"1e{k}") for k in range(-323, 309)],
+        np.arange(1.0, 5000.0),
+    ])
+    below_max = values[values < sys.float_info.max]
+    return np.unique(np.concatenate([values, np.nextafter(values, 0),
+                                     np.nextafter(below_max, np.inf)]))
+
+
+class TestCsvFormatter:
+    """``_csv_rows`` must write every power exactly as ``repr`` does."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
+                    min_size=1, max_size=40))
+    def test_powers_are_repr(self, values):
+        assert _csv_rows(np.array(values)) == repr_rows(values)
+
+    def test_random_normal_bit_patterns(self):
+        rng = np.random.default_rng(20201)
+        bits = rng.integers(1 << 52, 0x7FF << 52, (7, 180 * 180), dtype=np.uint64)
+        for values in bits.view(np.float64):  # 226,800 values
+            assert _csv_rows(values) == repr_rows(values)
+
+    def test_edge_values(self):
+        values = edge_floats()
+        assert 2.0 ** -1022 in values and np.nextafter(2.0 ** -1022, 0) in values
+        assert _csv_rows(values) == repr_rows(values)
+
+
 class TestSpectrumExport:
     def test_all_zero_pgm(self, tmp_path):
         path = tmp_path / "z.pgm"
@@ -194,6 +239,20 @@ class TestSpectrumExport:
         assert (pixels == 255).sum() == 1
         # row 0 is elevation 180: elevation 45 lands on row 135, azimuth col 59
         assert pixels[180 - 45, 59] == 255
+
+    @pytest.mark.filterwarnings("error")
+    def test_subnormal_peak_pgm(self, tmp_path):
+        # 255 / 1e-310 overflows; the peak still maps to 255
+        grid = np.zeros((180, 180))
+        grid[59, 44] = 1e-310
+        grid[10, 10] = 0.5e-310
+        path = tmp_path / "faint.pgm"
+        write_pgm(Spectrum2D(grid), path)
+        pixels = np.frombuffer(path.read_bytes().split(b"\n255\n", 1)[1],
+                               dtype=np.uint8).reshape(180, 180)
+        assert pixels[180 - 45, 59] == 255
+        assert pixels[180 - 11, 10] == 128
+        assert (pixels > 0).sum() == 2
 
     def test_csv_row_count_and_roundtrip(self, tmp_path, rng):
         spec = Spectrum2D(rng.uniform(0, 9, (180, 180)))
@@ -219,6 +278,8 @@ class TestSpectrumExport:
         # 1.8e308 itself overflows to inf, which Spectrum2D rejects; the largest
         # finite double stands in for it
         grid.flat[:6] = [0.0, 1e-05, 3.0, 1e16, 5e-324, 1.7976931348623157e308]
+        edges = edge_floats()
+        grid.flat[6:6 + edges.size] = edges
         spec = Spectrum2D(grid)
         write_spectrum_csv(spec, tmp_path / "fast.csv")
         row_loop(spec, tmp_path / "loop.csv")

@@ -61,7 +61,7 @@ _T_MASK = np.uint64(_C_MIN - 1)
 _LOW32 = np.uint64(0xFFFF_FFFF)
 _LOW63 = np.uint64((1 << 63) - 1)
 _DOTS = np.uint64(int.from_bytes(b"." * 8, "little"))
-_ZEROS = np.frombuffer(b"0" * 20 + b"\0" * 4, dtype="<u8")[:, None]  # the digits of 0
+_ZEROS = np.frombuffer(b"0" * 20 + b"\0" * 4, dtype="<u8")[:, None]  # digit words of f = 0
 _WORD_BYTE = np.array([[0], [8], [16]])
 _POW10 = np.array([10 ** i for i in range(19)], dtype=np.uint64)
 # Every f has at most 18 digits, so f·10^(18 - len(f)) holds them all.  The

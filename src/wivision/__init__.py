@@ -1,27 +1,15 @@
 """wivision: WiFi CSI streams to 2D angle-of-arrival images and Re-ID metrics."""
 
-from .arraymodel import (
-    ArrayGeometry,
-    ChannelConfig,
-    PathHypothesis,
-    SteeringVector,
-    default_geometry,
-    rx_phase,
-    subcarrier_phase,
-    tx_phase,
-    virtual_steering_vector,
-)
+from .arraymodel import ArrayGeometry, ChannelConfig, PathHypothesis, default_geometry
 from .csif import CsifFormatError, read_csif, write_csif
-from .export import export_spectrum, read_spectrum_csv, write_pgm, write_spectrum_csv
+from .export import read_spectrum_csv, write_pgm, write_spectrum_csv
 from .imaging import SpectrumTrack, aggregate, enhance, enhance_track, static_estimate
 from .music import (
     GridSpec,
     NoiseSubspace,
     SnapshotWindow,
     Spectrum2D,
-    covariance,
     detect_peaks,
-    noise_subspace,
     noise_subspace_from_window,
     spectrum,
     windows,

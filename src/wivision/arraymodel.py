@@ -136,38 +136,10 @@ class PathHypothesis:
             raise ValueError(f"tof_s must be >= 0, got {self.tof_s}")
 
 
-@dataclass(frozen=True)
-class SteeringVector:
-    """Virtual-array response to one path hypothesis.
-
-    ``values`` has length n_rx * n_tx * n_subcarriers and is ordered tx-major,
-    then rx antenna, then subcarrier; every entry has unit magnitude.
-    """
-
-    values: np.ndarray
-    n_rx: int
-    n_tx: int
-    n_subcarriers: int
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=complex)
-        if v.shape != (self.n_rx * self.n_tx * self.n_subcarriers,):
-            raise ValueError("steering vector length must equal n_rx * n_tx * n_subcarriers")
-        if np.max(np.abs(np.abs(v) - 1.0)) > 1e-12:
-            raise ValueError("steering vector entries must have unit magnitude")
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
-
-    def as_frame_tensor(self) -> np.ndarray:
-        """Reshape into the (rx, tx, subcarrier) layout of a CSI frame."""
-        t = self.values.reshape(self.n_tx, self.n_rx, self.n_subcarriers)
-        return t.transpose(1, 0, 2)
-
-
 # ---------------------------------------------------------------------------
-# Raw factor functions.  These accept arbitrary float inputs (no angle-range
-# validation) and broadcast, so the simulator and the grid evaluator can share
-# one implementation with the scalar operations below.
+# Factor functions.  These accept arbitrary float inputs (no angle-range
+# validation) and broadcast, so the simulator and the grid evaluator share one
+# implementation.
 # ---------------------------------------------------------------------------
 
 def direction_vector(azimuth_deg, elevation_deg) -> np.ndarray:
@@ -212,41 +184,3 @@ def steering_tensor(cfg: ChannelConfig, geom: ArrayGeometry,
     fn = subcarrier_factors(cfg, geom.n_subcarriers, tof_s)
     return np.einsum("...r,...m,...n->...rmn", fr, fm, fn)
 
-
-# ---------------------------------------------------------------------------
-# Scalar operations on validated hypotheses.
-# ---------------------------------------------------------------------------
-
-def rx_phase(cfg: ChannelConfig, geom: ArrayGeometry, k: int, hyp: PathHypothesis) -> complex:
-    """Phase factor of rx antenna ``k`` for an incident path; unit magnitude."""
-    if not 0 <= k < geom.n_rx:
-        raise IndexError(f"rx antenna index {k} out of range [0, {geom.n_rx})")
-    d = direction_vector(hyp.azimuth_deg, hyp.elevation_deg)
-    proj = float(d @ geom.rx_positions[k])
-    return complex(np.exp(-2j * np.pi * cfg.carrier_hz * proj / cfg.speed_of_light))
-
-
-def tx_phase(cfg: ChannelConfig, m: int, aod_deg: float) -> complex:
-    """Phase factor of tx antenna ``m`` relative to tx antenna 0; unit magnitude."""
-    if m < 0:
-        raise IndexError(f"tx antenna index must be >= 0, got {m}")
-    return complex(tx_factors(cfg, m + 1, aod_deg)[..., m])
-
-
-def subcarrier_phase(cfg: ChannelConfig, n: int, tof_s: float) -> complex:
-    """Phase factor of subcarrier ``n`` relative to subcarrier 0; unit magnitude."""
-    if n < 0:
-        raise IndexError(f"subcarrier index must be >= 0, got {n}")
-    if tof_s < 0:
-        raise ValueError(f"tof_s must be >= 0, got {tof_s}")
-    return complex(subcarrier_factors(cfg, n + 1, tof_s)[..., n])
-
-
-def virtual_steering_vector(cfg: ChannelConfig, geom: ArrayGeometry,
-                            hyp: PathHypothesis) -> SteeringVector:
-    """Full virtual-array steering vector for one hypothesis (tx, rx, subcarrier order)."""
-    tensor = steering_tensor(cfg, geom, hyp.azimuth_deg, hyp.elevation_deg,
-                             hyp.tof_s, hyp.aod_deg)
-    values = tensor.transpose(1, 0, 2).reshape(geom.dim)
-    return SteeringVector(values, n_rx=geom.n_rx, n_tx=geom.n_tx,
-                          n_subcarriers=geom.n_subcarriers)

@@ -3,7 +3,7 @@
 Subcommands: ``simulate``, ``spectrum``, ``enhance``, ``aggregate``, ``reid``,
 and ``pipeline`` (all stages in one run).  Exit codes: 0 success, 1 usage,
 2 input error, 3 numerical failure.  Outputs are byte-identical for the same
-inputs, seed, and flags regardless of ``--threads`` and of the CPU count.
+inputs, seed, and flags regardless of the CPU count.
 
 Once every image is computed, each frame's CSV and PGM are written by one
 forked worker process per usable CPU (in this process when only one CPU is
@@ -60,9 +60,6 @@ def _build_parser() -> _Parser:
                      description="WiFi CSI angle-of-arrival imaging pipeline")
     parser.add_argument("--seed", type=int, default=None,
                         help="override the scene seed / offset-injection seed")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for spectrum evaluation (on a 2-vCPU "
-                             "host, 2 is slower than the default 1)")
     parser.add_argument("--config", type=Path, default=None,
                         help="scene-format file supplying channel/geometry overrides")
     parser.add_argument("-v", "--verbose", action="store_true")
@@ -294,8 +291,7 @@ def _compute_spectra(stream: CsiStream, args,
     for w in wins:
         sub = music.noise_subspace_from_window(w, s_hat=sources)
         track.append(music.spectrum(sub, grids, stream.config, stream.geometry,
-                                    reduce=reduce, threads=args.threads,
-                                    timestamp_ns=w.timestamp_ns))
+                                    reduce=reduce, timestamp_ns=w.timestamp_ns))
     return track
 
 
@@ -415,9 +411,6 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     logging.basicConfig(level=logging.INFO if args.verbose else logging.WARNING,
                         format="%(levelname)s %(name)s: %(message)s")
-    if args.threads < 1:
-        print("wivision: error: --threads must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
     try:
         return _COMMANDS[args.command](args)
     except (np.linalg.LinAlgError, FloatingPointError) as exc:

@@ -23,16 +23,6 @@ from .arraymodel import N_ANGLE_BINS
 from .music import Spectrum2D
 
 
-def export_spectrum(spec: Spectrum2D, path, format: str = "csv") -> None:
-    """Write a spectrum as ``pgm`` (8-bit grayscale) or ``csv``."""
-    if format == "pgm":
-        write_pgm(spec, path)
-    elif format == "csv":
-        write_spectrum_csv(spec, path)
-    else:
-        raise ValueError(f"unknown spectrum format {format!r}, expected pgm or csv")
-
-
 def write_pgm(spec: Spectrum2D, path) -> None:
     """Binary PGM, linearly scaled so the maximum bin maps to 255.
 

@@ -104,6 +104,8 @@ def enhance_track(track: SpectrumTrack, static_window: int = DEFAULT_STATIC_WIND
     """
     if mode not in ("rolling", "global"):
         raise ValueError(f"mode must be 'rolling' or 'global', got {mode!r}")
+    if static_window < 1:
+        raise ValueError("static window must be >= 1")
     if len(track) < static_window:
         raise ValueError(
             f"static estimation needs at least {static_window} frames, "

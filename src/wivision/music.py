@@ -1,7 +1,7 @@
 """Joint (azimuth, elevation, tof, aod) MUSIC over the virtual array.
 
-Pipeline: sliding snapshot windows over the packet stream, sample covariance,
-noise-subspace extraction, and a spatial-spectrum scan
+Pipeline: sliding snapshot windows over the packet stream, signal/noise
+subspace split by the method of snapshots, and a spatial-spectrum scan
 
     P(az, el, tof, aod) = 1 / (a^H E_N E_N^H a)
 
@@ -37,11 +37,9 @@ from __future__ import annotations
 
 import functools
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .arraymodel import (
     N_ANGLE_BINS,
@@ -139,14 +137,6 @@ def windows(stream: CsiStream, window_len: int = DEFAULT_WINDOW_LEN,
             for start in range(0, n - window_len + 1, stride)]
 
 
-def covariance(window: SnapshotWindow) -> np.ndarray:
-    """Sample covariance R = X X^H / window_len; Hermitian PSD."""
-    x = window.matrix
-    r = x @ x.conj().T
-    r /= window.window_len
-    return r
-
-
 def estimate_source_count(eigenvalues: np.ndarray, *, method: str = "threshold",
                           n_snapshots: int | None = None,
                           threshold_factor: float = 10.0) -> int:
@@ -183,16 +173,15 @@ def estimate_source_count(eigenvalues: np.ndarray, *, method: str = "threshold",
 
 
 class NoiseSubspace:
-    """Signal/noise split of a covariance.
+    """Signal/noise split of a snapshot window.
 
-    Stores the (dim, s_hat) orthonormal signal basis; the complementary noise
-    basis is only materialized on demand (it has dim - s_hat columns, which for
-    the full virtual array is several hundred).
+    Stores the (dim, s_hat) orthonormal signal basis and the descending
+    covariance eigenvalues; the noise subspace is its complement, which the
+    scan uses only through ``|a|^2 - |E_S^H a|^2``.
     """
 
     def __init__(self, signal_basis: np.ndarray, s_hat: int,
-                 eigenvalues: np.ndarray | None = None,
-                 noise_basis: np.ndarray | None = None):
+                 eigenvalues: np.ndarray | None = None):
         signal_basis = np.asarray(signal_basis, dtype=complex)
         if signal_basis.ndim != 2 or signal_basis.shape[1] != s_hat:
             raise ValueError(f"signal basis must be (dim, s_hat={s_hat}), "
@@ -200,98 +189,49 @@ class NoiseSubspace:
         self.signal_basis = signal_basis
         self.s_hat = int(s_hat)
         self.eigenvalues = eigenvalues
-        self._noise_basis = noise_basis
 
     @property
     def dim(self) -> int:
         return self.signal_basis.shape[0]
 
-    @property
-    def noise_dim(self) -> int:
-        return self.dim - self.s_hat
 
-    @property
-    def basis(self) -> np.ndarray:
-        """Orthonormal noise basis, (dim, dim - s_hat); materialized lazily."""
-        if self._noise_basis is None:
-            if self.s_hat == 0:
-                self._noise_basis = np.eye(self.dim, dtype=complex)
-            else:
-                self._noise_basis = scipy.linalg.null_space(self.signal_basis.conj().T)
-        return self._noise_basis
-
-    def projection_deficit(self, vec: np.ndarray) -> float:
-        """|v|^2 - |E_S^H v|^2, i.e. |E_N^H v|^2 without forming E_N."""
-        v = np.asarray(vec, dtype=complex).reshape(-1)
-        proj = self.signal_basis.conj().T @ v
-        return float(np.vdot(v, v).real - np.vdot(proj, proj).real)
-
-
-def _split_subspace(lam: np.ndarray, dim: int, s_hat: int | None, bases, *,
-                    method: str, n_snapshots: int | None) -> NoiseSubspace:
-    """Shared tail of the subspace routines: count sources, check, build.
-
-    ``lam`` holds the descending covariance eigenvalues and ``bases(s_hat)``
-    returns the (dim, s_hat) signal basis plus the noise basis, or None to
-    leave the noise basis to be formed on demand.
-    """
-    if s_hat is None:
-        s_hat = estimate_source_count(lam, method=method, n_snapshots=n_snapshots)
-    if s_hat >= dim:
-        raise ValueError(f"s_hat={s_hat} leaves no noise subspace (dim {dim})")
-    if s_hat < 0:
-        raise ValueError(f"s_hat must be >= 0, got {s_hat}")
-    signal, noise = bases(s_hat)
-    return NoiseSubspace(signal, s_hat, eigenvalues=lam, noise_basis=noise)
-
-
-def noise_subspace(r: np.ndarray, s_hat: int | None = None, *,
-                   method: str = "threshold",
-                   n_snapshots: int | None = None) -> NoiseSubspace:
-    """Eigendecompose a covariance matrix into signal and noise subspaces."""
-    r = np.asarray(r, dtype=complex)
-    dim = r.shape[0]
-    if r.shape != (dim, dim):
-        raise ValueError(f"covariance must be square, got {r.shape}")
-    lam, vec = np.linalg.eigh(r)
-    lam = lam[::-1]
-    vec = vec[:, ::-1]
-    return _split_subspace(lam, dim, s_hat,
-                           lambda s: (vec[:, :s], np.ascontiguousarray(vec[:, s:])),
-                           method=method, n_snapshots=n_snapshots)
-
-
-def noise_subspace_from_window(window: SnapshotWindow, s_hat: int | None = None, *,
-                               method: str = "threshold") -> NoiseSubspace:
+def noise_subspace_from_window(window: SnapshotWindow,
+                               s_hat: int | None = None) -> NoiseSubspace:
     """Signal/noise split from the snapshot matrix by the method of snapshots.
 
-    Equivalent to :func:`noise_subspace` of the sample covariance but never
-    forms the dim x dim matrix; preferred for the full-size virtual array.
-    The Gram matrix is taken on the smaller side of X.  For a short window
-    the eigenvectors V of X^H X are lifted to the signal basis X V; a QR
-    factorization normalizes those columns (the U = X V Lambda^(-1/2) of the
-    thin SVD, up to phase) and completes columns whose eigenvalue is zero or
-    negligible to a finite orthonormal basis.  For a window longer than dim,
-    X X^H is eigendecomposed directly.
+    Equivalent to eigendecomposing the sample covariance X X^H / window_len
+    but never forms the dim x dim matrix.  The Gram matrix is taken on the
+    smaller side of X.  For a short window the eigenvectors V of X^H X are
+    lifted to the signal basis X V; a QR factorization normalizes those
+    columns (the U = X V Lambda^(-1/2) of the thin SVD, up to phase) and
+    completes columns whose eigenvalue is zero or negligible to a finite
+    orthonormal basis.  For a window longer than dim, X X^H is
+    eigendecomposed directly.  ``s_hat`` defaults to
+    :func:`estimate_source_count` of the covariance eigenvalues.
     """
     x = window.matrix
     n = window.window_len
-    short = n <= window.dim
+    dim = window.dim
+    short = n <= dim
     xh = x.conj().T
     gram_lam, gram_vec = np.linalg.eigh(xh @ x if short else x @ xh)
     gram_lam = gram_lam[::-1]
     gram_vec = gram_vec[:, ::-1]
     lam = np.clip(gram_lam, 0.0, None) / n
-
-    def bases(s):
-        if not short:
-            return gram_vec[:, :s], None
-        lifted = np.zeros((window.dim, s), dtype=complex)
-        kept = min(s, n)
-        np.matmul(x, gram_vec[:, :kept], out=lifted[:, :kept])
-        return np.linalg.qr(lifted)[0], None
-
-    return _split_subspace(lam, window.dim, s_hat, bases, method=method, n_snapshots=n)
+    if s_hat is None:
+        s_hat = estimate_source_count(lam, n_snapshots=n)
+    if s_hat >= dim:
+        raise ValueError(f"s_hat={s_hat} leaves no noise subspace (dim {dim})")
+    if s_hat < 0:
+        raise ValueError(f"s_hat must be >= 0, got {s_hat}")
+    if short:
+        signal = np.zeros((dim, s_hat), dtype=complex)
+        kept = min(s_hat, n)
+        np.matmul(x, gram_vec[:, :kept], out=signal[:, :kept])
+        signal = np.linalg.qr(signal)[0]
+    else:
+        signal = gram_vec[:, :s_hat]
+    return NoiseSubspace(signal, s_hat, eigenvalues=lam)
 
 
 @dataclass
@@ -402,22 +342,19 @@ def _basis_pair_forms(basis: np.ndarray, cfg: ChannelConfig, geom: ArrayGeometry
 
 
 def spectrum(subspace: NoiseSubspace, grids: GridSpec | None, cfg: ChannelConfig,
-             geom: ArrayGeometry, *, reduce: str = "sum", threads: int = 1,
+             geom: ArrayGeometry, *, reduce: str = "sum",
              timestamp_ns: int = 0) -> Spectrum2D:
     """Marginalized 2D MUSIC image for one snapshot window.
 
     For every angle bin the spatial spectrum 1 / (a^H E_N E_N^H a) is evaluated
     on the full (tof, aod) grid via the Kronecker factorization of the steering
-    vector and reduced with ``sum`` (default) or ``max``.  Output is identical
-    for any ``threads`` value; threads only split the elevation rows, in fixed
-    chunks that each thread evaluates in its own buffer.
+    vector and reduced with ``sum`` (default) or ``max``, a chunk of whole
+    elevation rows at a time.
     """
     if grids is None:
         grids = GridSpec()
     if reduce not in ("sum", "max"):
         raise ValueError(f"reduce must be 'sum' or 'max', got {reduce!r}")
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
     dim = geom.dim
     if subspace.dim != dim:
         raise ValueError(f"subspace dimension {subspace.dim} does not match "
@@ -451,30 +388,20 @@ def spectrum(subspace: NoiseSubspace, grids: GridSpec | None, cfg: ChannelConfig
     coef[:, 0] += dim - diag_sums
     ones = np.ones(n_w)
     rows = max(1, _CHUNK_DOUBLES // (n * n_w))
-
-    def run_chunks(starts):
-        buf = np.empty((rows, n, n_w))
-        for start in starts:
-            stop = min(start + rows, n)
-            den = buf[:stop - start]
-            np.matmul(table[start:stop], coef[start:stop], out=den)
-            # A read-only minimum is cheaper than the clamp it usually skips;
-            # NaN fails the test, so the clamp still runs (and leaves it NaN).
-            if not den.min() >= floor:
-                np.maximum(den, floor, out=den)
-            np.reciprocal(den, out=den)
-            if reduce == "sum":
-                np.matmul(den, ones, out=image[start:stop])
-            else:
-                np.max(den, axis=2, out=image[start:stop])
-
-    starts = range(0, n, rows)
-    if threads == 1:
-        run_chunks(starts)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for done in [pool.submit(run_chunks, starts[i::threads]) for i in range(threads)]:
-                done.result()
+    buf = np.empty((rows, n, n_w))
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
+        den = buf[:stop - start]
+        np.matmul(table[start:stop], coef[start:stop], out=den)
+        # A read-only minimum is cheaper than the clamp it usually skips;
+        # NaN fails the test, so the clamp still runs (and leaves it NaN).
+        if not den.min() >= floor:
+            np.maximum(den, floor, out=den)
+        np.reciprocal(den, out=den)
+        if reduce == "sum":
+            np.matmul(den, ones, out=image[start:stop])
+        else:
+            np.max(den, axis=2, out=image[start:stop])
     return Spectrum2D(np.ascontiguousarray(image.T), timestamp_ns)
 
 

@@ -176,6 +176,8 @@ class CmcCurve:
         object.__setattr__(self, "values", v)
 
     def rank_accuracy(self, k: int) -> float:
+        if not 1 <= k <= self.values.size:
+            raise ValueError(f"rank must be in [1, {self.values.size}], got {k}")
         return float(self.values[k - 1])
 
     def to_csv(self, path) -> None:

@@ -59,10 +59,10 @@ def geom(cfg):
     return default_geometry(cfg)
 
 
-def one_window_spectrum(stream, cfg, geom, grids=None, s_hat=None, threads=1):
+def one_window_spectrum(stream, cfg, geom, grids=None, s_hat=None):
     w = windows(stream, 100, 33)[0]
     sub = noise_subspace_from_window(w, s_hat=s_hat)
-    return spectrum(sub, grids, cfg, geom, threads=threads)
+    return spectrum(sub, grids, cfg, geom)
 
 
 def test_criterion_1_single_path_recovery(cfg, geom):
@@ -339,7 +339,7 @@ def test_criterion_7_reid_harness(cfg, geom):
 
 def test_criterion_8_performance(cfg, geom):
     """Full 180x180 spectrum, 16 tof x 8 aod grid, 810-dim array, 100
-    snapshots: < 10 s single-threaded, < 2 s threaded, byte-identical."""
+    snapshots: < 2 s."""
     stream = sanitize(simulate(six_reflector_scene(), cfg, geom))
     w = windows(stream, 100, 33)[0]
     sub = noise_subspace_from_window(w)
@@ -348,16 +348,9 @@ def test_criterion_8_performance(cfg, geom):
 
     spectrum(sub, grids, cfg, geom)  # warm the cached angle tables
     t0 = time.perf_counter()
-    single = spectrum(sub, grids, cfg, geom, threads=1)
-    t_single = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    threaded = spectrum(sub, grids, cfg, geom, threads=4)
-    t_threaded = time.perf_counter() - t0
-    identical = bool(np.array_equal(single.grid, threaded.grid))
-    ok = t_single < 10.0 and t_threaded < 2.0 and identical
-    _report("criterion 8 (performance)", ok,
-            f"single-threaded {t_single:.2f} s, 4 threads {t_threaded:.2f} s, "
-            f"byte-identical: {identical}")
+    spectrum(sub, grids, cfg, geom)
+    elapsed = time.perf_counter() - t0
+    _report("criterion 8 (performance)", elapsed < 2.0, f"full image in {elapsed:.2f} s")
 
 
 def test_criterion_9_steering_properties(cfg, geom):

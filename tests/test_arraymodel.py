@@ -7,10 +7,6 @@ from wivision import (
     ArrayGeometry,
     ChannelConfig,
     PathHypothesis,
-    rx_phase,
-    subcarrier_phase,
-    tx_phase,
-    virtual_steering_vector,
 )
 from wivision.arraymodel import (
     SPEED_OF_LIGHT,
@@ -20,6 +16,8 @@ from wivision.arraymodel import (
     subcarrier_factors,
     tx_factors,
 )
+
+from reference import rx_phase, subcarrier_phase, tx_phase, virtual_steering_vector
 
 C = SPEED_OF_LIGHT
 

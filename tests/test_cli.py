@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 import wivision
-from wivision import cli, music
+from wivision import Spectrum2D, cli, music
 from wivision.csif import packet_size_bytes, read_csif
-from wivision.export import read_spectrum_csv
+from wivision.export import read_spectrum_csv, write_spectrum_csv
 from wivision.sanitize import sanitize
 from wivision.cli import EXIT_INPUT, EXIT_OK, EXIT_USAGE, main
 
@@ -112,12 +112,23 @@ def non_finite_csif(scene_file, tmp_path):
     return path
 
 
-def run_subprocess(*args):
+def run_python(*args):
+    """Run a fresh interpreter that imports wivision from this source tree."""
     src = Path(wivision.__file__).parents[1]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(src), os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-m", "wivision.cli", *map(str, args)],
+    return subprocess.run([sys.executable, *map(str, args)],
                           capture_output=True, text=True, env=env)
+
+
+def run_subprocess(*args):
+    return run_python("-m", "wivision.cli", *args)
+
+
+def test_import_loads_no_scipy():
+    done = run_python("-c", "import sys, wivision, wivision.cli; print(sorted("
+                      "m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert (done.returncode, done.stdout) == (0, "[]\n")
 
 
 class TestErrorReports:
@@ -139,6 +150,18 @@ class TestErrorReports:
         assert "INFO wivision: input error traceback" in loud.stderr
         assert "Traceback (most recent call last)" in loud.stderr
         assert "wivision.csif.CsifFormatError: packet 3" in loud.stderr
+
+    @pytest.mark.filterwarnings("error")
+    def test_zero_static_window_is_2(self, tmp_path, capsys):
+        indir = tmp_path / "spectra"
+        indir.mkdir()
+        for i in range(3):
+            write_spectrum_csv(Spectrum2D(np.full((180, 180), 1.0 + i)),
+                               indir / f"spectrum_{i:05d}.csv")
+        assert run("enhance", "--in", indir, "--out", tmp_path / "o",
+                   "--static-window", 0) == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            "wivision: input error: static window must be >= 1\n")
 
     def test_bad_carrier_header_is_2(self, tmp_path, capsys):
         path = tmp_path / "carrier.csif"
@@ -259,21 +282,6 @@ class TestPipelineCommands:
                    "90") == EXIT_OK
         assert len(sorted(outdir.glob("*.csv"))) == 2
 
-    def test_threads_byte_identical(self, scene_file, tmp_path):
-        csif_path = tmp_path / "stream.csif"
-        run("simulate", "--scene", scene_file, "--out", csif_path)
-        outs = []
-        for threads in (1, 3):
-            outdir = tmp_path / f"t{threads}"
-            assert run("--threads", threads, "spectrum", "--in", csif_path,
-                       "--window", 100, "--stride", 200, "--out", outdir,
-                       "--tau-grid-ns", "0:40:10",
-                       "--aod-grid-deg", "60,90,120") == EXIT_OK
-            outs.append(outdir)
-        for name in ("spectrum_00000.csv", "spectrum_00000.pgm",
-                     "spectrum_00001.csv", "spectrum_00001.pgm"):
-            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
-
     def test_seed_override_changes_stream(self, scene_file, tmp_path):
         a, b, c = (tmp_path / n for n in ("a.csif", "b.csif", "c.csif"))
         run("simulate", "--scene", scene_file, "--out", a)
@@ -349,9 +357,6 @@ class TestFrameWriter:
 
 class TestReidCommand:
     def test_reid_over_synthetic_tracks(self, tmp_path, rng):
-        from wivision import Spectrum2D
-        from wivision.export import write_spectrum_csv
-
         def write_track(root, name, el_lo, el_hi, period):
             d = root / name
             d.mkdir(parents=True)

@@ -131,6 +131,14 @@ class TestEnhanceTrack:
                             mode="global")
         assert len(out) == 12
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("mode", ["rolling", "global"])
+    @pytest.mark.parametrize("window", [0, -2])
+    def test_static_window_below_one_rejected(self, mode, window):
+        frames = [blob(60, 45, ts=i) for i in range(4)]
+        with pytest.raises(ValueError, match="static window must be >= 1"):
+            enhance_track(track_of(frames), static_window=window, mode=mode)
+
     def test_static_scene_goes_dark(self):
         frames = [blob(60, 45, ts=i) for i in range(10)]
         out = enhance_track(track_of(frames), static_window=5, floor_db=20.0)

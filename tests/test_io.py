@@ -281,14 +281,6 @@ class TestSpectrumExport:
         row_loop(spec, tmp_path / "loop.csv")
         assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "loop.csv").read_bytes()
 
-    def test_export_dispatcher(self, tmp_path, rng):
-        from wivision import export_spectrum
-        spec = Spectrum2D(rng.uniform(0, 9, (180, 180)))
-        export_spectrum(spec, tmp_path / "a.csv", format="csv")
-        export_spectrum(spec, tmp_path / "a.pgm", format="pgm")
-        assert (tmp_path / "a.csv").exists() and (tmp_path / "a.pgm").exists()
-        with pytest.raises(ValueError, match="format"):
-            export_spectrum(spec, tmp_path / "a.xyz", format="xyz")
 
 
 SCENE_TEXT = """

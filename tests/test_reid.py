@@ -164,6 +164,13 @@ class TestCmc:
         with pytest.raises(ValueError, match="missing"):
             cmc(results, {})
 
+    @pytest.mark.parametrize("k", [0, -1, 3])
+    def test_rank_outside_curve_rejected(self, k):
+        curve = CmcCurve(np.array([0.5, 1.0]))
+        assert (curve.rank_accuracy(1), curve.rank_accuracy(2)) == (0.5, 1.0)
+        with pytest.raises(ValueError, match=f"rank must be in \\[1, 2\\], got {k}"):
+            curve.rank_accuracy(k)
+
     def test_csv_export(self, tmp_path):
         curve = CmcCurve(np.array([0.5, 0.75, 1.0]))
         out = tmp_path / "cmc.csv"

@@ -17,8 +17,9 @@ from wivision import (
     human_walk_preset,
     inject_phase_offsets,
     simulate,
-    virtual_steering_vector,
 )
+
+from reference import virtual_steering_vector
 
 
 def single_path_scene(hyp, gain=1.0 + 0.0j, snr_db=math.inf, duration=0.05, seed=0):

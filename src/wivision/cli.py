@@ -5,10 +5,10 @@ and ``pipeline`` (all stages in one run).  Exit codes: 0 success, 1 usage,
 2 input error, 3 numerical failure.  Outputs are byte-identical for the same
 inputs, seed, and flags regardless of the CPU count.
 
-Once every image is computed, each frame's CSV and PGM are written by one
-forked worker process per usable CPU (in this process when only one CPU is
-usable, there is a single frame, or ``fork`` is unavailable).  ``pipeline``
-enhances and aggregates while the workers write the raw spectra.
+Each command computes all its images first, then writes every frame's CSV
+and PGM in one pass, on one forked worker process per usable CPU (in this
+process when only one CPU is usable, there is a single frame, or ``fork`` is
+unavailable).
 """
 
 from __future__ import annotations
@@ -194,9 +194,9 @@ def _writer_processes(n_frames: int) -> int:
     """Worker processes for writing ``n_frames`` frames; 0 means this process.
 
     One per usable CPU, at most one per frame.  Workers are forked so that they
-    inherit the loaded program and the CSV row prefixes instead of importing
-    and rebuilding them; without ``fork``, or with nothing to run alongside,
-    frames are written in this process.
+    inherit the loaded program and the CSV tables instead of importing and
+    rebuilding them; without ``fork``, or with nothing to run alongside, frames
+    are written in this process.
     """
     if "fork" not in multiprocessing.get_all_start_methods():
         return 0
@@ -206,62 +206,37 @@ def _writer_processes(n_frames: int) -> int:
     return n if n > 1 else 0
 
 
-class _SpectrumWriter:
-    """Writes frames with :func:`_write_frame` on :func:`_writer_processes` workers.
+def _numbered(frames: list[music.Spectrum2D], outdir: Path,
+              prefix: str) -> list[tuple[music.Spectrum2D, Path]]:
+    return [(spec, outdir / f"{prefix}_{i:05d}") for i, spec in enumerate(frames)]
 
-    Create it only after the last scan has returned: writer processes running
+
+def _write_frames(frames: list[tuple[music.Spectrum2D, Path]]) -> None:
+    """Write each ``(frame, stem)`` with :func:`_write_frame` and log the time taken.
+
+    The frames are shared among :func:`_writer_processes` forked workers.  Call
+    this once, after the last image is computed: writer processes running
     beside the scan's BLAS threads oversubscribe the cores and slow both.  The
     pool forks before any of its own threads start, and the workers call no
-    BLAS.  Leaving the ``with`` block waits for every frame in submission order,
-    so a worker's exception (an ``OSError`` naming the file) is raised here;
-    then it logs the frame count, the worker count and the seconds since
-    creation.
+    BLAS.  Results are read in order, so the first worker exception (an
+    ``OSError`` naming the file) is raised here.
     """
-
-    def __init__(self, n_frames: int):
-        self._processes = _writer_processes(n_frames)
-        self._pool = None
-        self._futures = []
-        self._frames = 0
-        self._started = time.perf_counter()
-        if self._processes:
-            export._csv_tables()  # built before the fork, so every worker inherits them
-            self._pool = ProcessPoolExecutor(
-                self._processes, mp_context=multiprocessing.get_context("fork"))
-
-    def write(self, spec: music.Spectrum2D, stem: Path) -> None:
-        self._frames += 1
-        if self._pool is None:
-            _write_frame(spec, stem)
-        else:
-            self._futures.append(self._pool.submit(_write_frame, spec, stem))
-
-    def write_track(self, frames: list[music.Spectrum2D], outdir: Path,
-                    prefix: str) -> None:
+    started = time.perf_counter()
+    for outdir in dict.fromkeys(stem.parent for _, stem in frames):
         outdir.mkdir(parents=True, exist_ok=True)
-        for i, spec in enumerate(frames):
-            self.write(spec, outdir / f"{prefix}_{i:05d}")
-
-    def __enter__(self) -> "_SpectrumWriter":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        if self._pool is not None:
-            try:
-                if exc_type is None:
-                    for future in self._futures:
-                        future.result()
-            finally:
-                self._pool.shutdown(cancel_futures=True)
-        if exc_type is None:
-            logger.info("wrote %d frames %s in %.3f s", self._frames,
-                        f"with {self._processes} worker processes" if self._pool
-                        else "in-process", time.perf_counter() - self._started)
-
-
-def _write_spectra(track: list[music.Spectrum2D], outdir: Path, prefix: str) -> None:
-    with _SpectrumWriter(len(track)) as writer:
-        writer.write_track(track, outdir, prefix)
+    processes = _writer_processes(len(frames))
+    if processes:
+        export._csv_tables()  # built before the fork, so every worker inherits them
+        with ProcessPoolExecutor(
+                processes, mp_context=multiprocessing.get_context("fork")) as pool:
+            for _ in pool.map(_write_frame, *zip(*frames)):
+                pass
+    else:
+        for spec, stem in frames:
+            _write_frame(spec, stem)
+    logger.info("wrote %d frames %s in %.3f s", len(frames),
+                f"with {processes} worker processes" if processes else "in-process",
+                time.perf_counter() - started)
 
 
 def _read_track(indir: Path, frame_rate_hz: float) -> imaging.SpectrumTrack:
@@ -306,7 +281,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_spectrum(args) -> int:
     stream = csif.read_csif(args.infile, geometry=_override_geometry(args))
     track = _compute_spectra(stream, args, _grids_from_args(args))
-    _write_spectra(track, args.out, "spectrum")
+    _write_frames(_numbered(track, args.out, "spectrum"))
     logger.info("wrote %d spectrum frames to %s", len(track), args.out)
     return EXIT_OK
 
@@ -315,7 +290,7 @@ def _cmd_enhance(args) -> int:
     track = _read_track(args.indir, imaging.DEFAULT_FRAME_RATE_HZ)
     enhanced = imaging.enhance_track(track, static_window=args.static_window,
                                      floor_db=args.floor_db, mode=args.static_mode)
-    _write_spectra(enhanced.frames, args.out, "enhanced")
+    _write_frames(_numbered(enhanced.frames, args.out, "enhanced"))
     logger.info("wrote %d enhanced frames to %s", len(enhanced), args.out)
     return EXIT_OK
 
@@ -367,15 +342,12 @@ def _cmd_pipeline(args) -> int:
     track = _compute_spectra(stream, args, _grids_from_args(args))
     frame_rate = bundle.scene.packet_rate_hz / args.stride
     raw = imaging.SpectrumTrack(track, frame_rate_hz=frame_rate)
-    # Bounds the worker count: the raw frames, at most as many enhanced ones
-    # and the aggregate.
-    with _SpectrumWriter(2 * len(track) + 1) as writer:
-        writer.write_track(track, outdir / "spectra", "spectrum")
-        enhanced = imaging.enhance_track(raw, static_window=args.static_window,
-                                         floor_db=args.floor_db, mode=args.static_mode)
-        writer.write_track(enhanced.frames, outdir / "enhanced", "enhanced")
-        agg = imaging.aggregate(enhanced, k=min(args.frames, len(enhanced)))
-        writer.write(agg, outdir / "aggregate")
+    enhanced = imaging.enhance_track(raw, static_window=args.static_window,
+                                     floor_db=args.floor_db, mode=args.static_mode)
+    agg = imaging.aggregate(enhanced, k=min(args.frames, len(enhanced)))
+    _write_frames(_numbered(track, outdir / "spectra", "spectrum")
+                  + _numbered(enhanced.frames, outdir / "enhanced", "enhanced")
+                  + [(agg, outdir / "aggregate")])
     logger.info("pipeline complete: %d spectra, %d enhanced frames", len(track),
                 len(enhanced))
     return EXIT_OK

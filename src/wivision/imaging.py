@@ -100,16 +100,17 @@ def enhance_track(track: SpectrumTrack, static_window: int = DEFAULT_STATIC_WIND
     ``static_window`` frames ending at that frame (the first
     ``static_window - 1`` frames are dropped).  ``global`` estimates one static
     spectrum from the median over the whole track and applies it everywhere,
-    which suits short captures where a moving subject never dominates a bin.
+    which suits short captures where a moving subject never dominates a bin;
+    it does not use ``static_window``.
     """
     if mode not in ("rolling", "global"):
         raise ValueError(f"mode must be 'rolling' or 'global', got {mode!r}")
     if static_window < 1:
         raise ValueError("static window must be >= 1")
-    if len(track) < static_window:
+    needed = static_window if mode == "rolling" else 1
+    if len(track) < needed:
         raise ValueError(
-            f"static estimation needs at least {static_window} frames, "
-            f"track has {len(track)}"
+            f"static estimation needs at least {needed} frames, track has {len(track)}"
         )
     out = SpectrumTrack(frame_rate_hz=track.frame_rate_hz)
     if mode == "global":

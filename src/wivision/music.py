@@ -59,6 +59,7 @@ DEFAULT_TOF_GRID_S = np.arange(16) * 5e-9
 DEFAULT_AOD_GRID_DEG = np.arange(20.0, 161.0, 20.0)
 
 _EIGENVALUE_FLOOR_REL = 1e-9
+_THRESHOLD_FACTOR = 10.0
 _DENOMINATOR_FLOOR_REL = 1e-15
 _LAG_TOL_WAVELENGTHS = 1e-12
 _CHUNK_DOUBLES = 1 << 16
@@ -138,13 +139,12 @@ def windows(stream: CsiStream, window_len: int = DEFAULT_WINDOW_LEN,
 
 
 def estimate_source_count(eigenvalues: np.ndarray, *, method: str = "threshold",
-                          n_snapshots: int | None = None,
-                          threshold_factor: float = 10.0) -> int:
+                          n_snapshots: int | None = None) -> int:
     """Estimate the number of sources from descending covariance eigenvalues.
 
-    ``threshold`` counts eigenvalues above threshold_factor times a noise-floor
-    estimate (median of the lower half of the spectrum, guarded by a relative
-    floor so noiseless data does not divide by zero).  ``mdl`` is the classic
+    ``threshold`` counts eigenvalues above ten times a noise-floor estimate
+    (median of the lower half of the spectrum, guarded by a relative floor so
+    noiseless data does not divide by zero).  ``mdl`` is the classic
     minimum-description-length criterion and needs ``n_snapshots``.
     """
     lam = np.sort(np.asarray(eigenvalues, dtype=float))[::-1]
@@ -155,7 +155,7 @@ def estimate_source_count(eigenvalues: np.ndarray, *, method: str = "threshold",
     if method == "threshold":
         floor = max(float(np.median(lam[m // 2:])), lam[0] * _EIGENVALUE_FLOOR_REL,
                     np.finfo(float).tiny)
-        count = int(np.sum(lam > threshold_factor * floor))
+        count = int(np.sum(lam > _THRESHOLD_FACTOR * floor))
         return min(max(count, 1), m - 1)
     if method == "mdl":
         if n_snapshots is None:

@@ -69,22 +69,21 @@ def _dominant_autocorr_lag(series: np.ndarray, min_peak: float) -> int:
     return best_lag
 
 
-def extract_features(track: SpectrumTrack, *, floor_db: float = FEATURE_FLOOR_DB,
-                     min_frames: int = MIN_FEATURE_FRAMES) -> FeatureVector:
+def extract_features(track: SpectrumTrack) -> FeatureVector:
     """Extract the identity feature vector from an enhanced spectrum track.
 
     Extents and centroid come from the power-weighted aggregate of all frames
     (bins above the dB floor); the gait period is the dominant autocorrelation
     lag of the per-frame total-power series, 0 when no periodicity stands out.
     """
-    if len(track) < min_frames:
-        raise ValueError(f"feature extraction needs at least {min_frames} frames, "
+    if len(track) < MIN_FEATURE_FRAMES:
+        raise ValueError(f"feature extraction needs at least {MIN_FEATURE_FRAMES} frames, "
                          f"track has {len(track)}")
     agg = aggregate(track, k=len(track)).grid
     peak = agg.max()
     if peak <= 0:
         raise ValueError("track is all-zero; no subject to describe")
-    active = agg >= peak * 10.0 ** (-floor_db / 10.0)
+    active = agg >= peak * 10.0 ** (-FEATURE_FLOOR_DB / 10.0)
     az_idx, el_idx = np.nonzero(active)
     az_deg = az_idx + 1.0
     el_deg = el_idx + 1.0

@@ -24,7 +24,8 @@ from __future__ import annotations
 import configparser
 import math
 import re
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -75,32 +76,52 @@ def load_scene(path, require_paths: bool = True) -> SceneBundle:
     sections = dict(parser.items())
     sections.pop("DEFAULT", None)
 
-    cfg = _parse_channel(sections.pop("channel", {}), path)
-    geom = _parse_geometry(sections.pop("geometry", {}), cfg, path)
-    sim = _parse_simulation(sections.pop("simulation", {}), path)
+    with _section(path, "channel"):
+        cfg = _parse_channel(sections.pop("channel", {}), path)
+    with _section(path, "geometry"):
+        geom = _parse_geometry(sections.pop("geometry", {}), cfg, path)
+    with _section(path, "simulation"):
+        sim = _parse_simulation(sections.pop("simulation", {}), path)
 
     paths: list[ScenePath] = []
-    personas: list[PersonaParams] = []
+    personas: list[tuple[str, PersonaParams]] = []
     for name in list(sections):
-        if name.startswith("path:"):
-            paths.append(_parse_path(name, sections.pop(name), path))
-        elif name.startswith("persona:"):
-            personas.append(_parse_persona(name, sections.pop(name), path))
+        with _section(path, name):
+            if name.startswith("path:"):
+                paths.append(_parse_path(name, sections.pop(name), path))
+            elif name.startswith("persona:"):
+                personas.append((name, _parse_persona(name, sections.pop(name), path)))
     if sections:
         raise SceneFileError(f"{path}: unknown sections {sorted(sections)}")
 
-    for persona in personas:
-        walk = human_walk_preset(persona, duration_s=sim["duration_s"],
-                                 packet_rate_hz=sim["packet_rate_hz"],
-                                 snr_db=sim["snr_db"], rng_seed=sim["seed"])
+    for name, persona in personas:
+        with _section(path, name):
+            walk = human_walk_preset(persona, duration_s=sim.duration_s,
+                                     packet_rate_hz=sim.packet_rate_hz,
+                                     snr_db=sim.snr_db, rng_seed=sim.rng_seed)
         paths.extend(walk.paths)
     if not paths and require_paths:
         raise SceneFileError(f"{path}: scene defines no paths or personas")
 
-    scene = Scene(tuple(paths), snr_db=sim["snr_db"],
-                  packet_rate_hz=sim["packet_rate_hz"],
-                  duration_s=sim["duration_s"], rng_seed=sim["seed"])
+    with _section(path):
+        scene = replace(sim, paths=tuple(paths))
     return SceneBundle(cfg, geom, scene)
+
+
+@contextmanager
+def _section(path, section: str | None = None):
+    """Re-raise a model ``ValueError`` as a :class:`SceneFileError` naming the file.
+
+    The message starts ``<path>: [<section>]``, or ``<path>:`` for a rule on
+    the whole scene.
+    """
+    try:
+        yield
+    except SceneFileError:
+        raise
+    except ValueError as exc:
+        where = f"{path}: [{section}]" if section else f"{path}:"
+        raise SceneFileError(f"{where} {exc}") from exc
 
 
 def _reject_unknown(section: str, items: dict, known, path) -> None:
@@ -121,7 +142,7 @@ def _get_float(items, key, default, path, section):
 
 def _get_int(items, key, default, path, section):
     v = _get_float(items, key, default, path, section)
-    if v != int(v):
+    if not float(v).is_integer():
         raise SceneFileError(f"{path}: [{section}] {key} must be an integer")
     return int(v)
 
@@ -154,10 +175,13 @@ def _parse_geometry(items, cfg: ChannelConfig, path) -> ArrayGeometry:
             raise SceneFileError(f"{path}: [geometry] rx rows must be numbered 0..n-1")
         positions = []
         for i in range(len(rx_rows)):
-            parts = rx_rows[i].split(",")
-            if len(parts) != 3:
-                raise SceneFileError(f"{path}: [geometry] rx_{i}_m must be x,y,z")
-            positions.append([float(p) for p in parts])
+            text = rx_rows[i].strip()
+            try:
+                x, y, z = (float(p) for p in text.split(","))
+            except ValueError:
+                raise SceneFileError(f"{path}: [geometry] rx_{i}_m = {text!r} must be "
+                                     "three numbers x,y,z") from None
+            positions.append([x, y, z])
         return ArrayGeometry(np.array(positions), n_tx=n_tx, n_subcarriers=n_su)
     layout = items.get("layout", "l_shape").strip()
     if layout != "l_shape":
@@ -169,15 +193,17 @@ def _parse_geometry(items, cfg: ChannelConfig, path) -> ArrayGeometry:
                                   n_tx=n_tx, n_subcarriers=n_su)
 
 
-def _parse_simulation(items, path) -> dict:
+def _parse_simulation(items, path) -> Scene:
+    """The [simulation] values as a scene without paths."""
     items = dict(items)
     _reject_unknown("simulation", items, _SIMULATION_KEYS, path)
-    return {
-        "snr_db": _get_float(items, "snr_db", math.inf, path, "simulation"),
-        "packet_rate_hz": _get_float(items, "packet_rate_hz", 1000.0, path, "simulation"),
-        "duration_s": _get_float(items, "duration_s", 1.0, path, "simulation"),
-        "seed": _get_int(items, "seed", 0, path, "simulation"),
-    }
+    return Scene(
+        (),
+        snr_db=_get_float(items, "snr_db", math.inf, path, "simulation"),
+        packet_rate_hz=_get_float(items, "packet_rate_hz", 1000.0, path, "simulation"),
+        duration_s=_get_float(items, "duration_s", 1.0, path, "simulation"),
+        rng_seed=_get_int(items, "seed", 0, path, "simulation"),
+    )
 
 
 def _parse_path(section: str, items, path) -> ScenePath:
@@ -224,17 +250,14 @@ def _parse_path(section: str, items, path) -> ScenePath:
                 kf.get("azimuth_deg", az), kf.get("elevation_deg", el),
                 kf.get("tof_ns", tof_ns) * 1e-9, kf.get("aod_deg", aod))))
 
-    try:
-        return ScenePath(
-            PathHypothesis(az, el, tof_ns * 1e-9, aod),
-            gain=complex(gain),
-            tag=items.get("tag", "static").strip(),
-            motion=motion,
-            gate=gate,
-            phase_jitter=_get_float(items, "phase_jitter", 0.0, path, section),
-        )
-    except ValueError as exc:
-        raise SceneFileError(f"{path}: [{section}] {exc}") from exc
+    return ScenePath(
+        PathHypothesis(az, el, tof_ns * 1e-9, aod),
+        gain=complex(gain),
+        tag=items.get("tag", "static").strip(),
+        motion=motion,
+        gate=gate,
+        phase_jitter=_get_float(items, "phase_jitter", 0.0, path, section),
+    )
 
 
 def _parse_persona(section: str, items, path) -> PersonaParams:
@@ -244,21 +267,18 @@ def _parse_persona(section: str, items, path) -> PersonaParams:
     missing = sorted(required - set(items))
     if missing:
         raise SceneFileError(f"{path}: [{section}] missing keys {missing}")
-    try:
-        return PersonaParams(
-            elevation_span_deg=_get_float(items, "elevation_span_deg", None, path, section),
-            azimuth_span_deg=_get_float(items, "azimuth_span_deg", None, path, section),
-            gait_period_s=_get_float(items, "gait_period_s", None, path, section),
-            walk_speed_deg_per_s=_get_float(items, "walk_speed_deg_per_s", 6.0,
-                                            path, section),
-            start_azimuth_deg=_get_float(items, "start_azimuth_deg", 60.0, path, section),
-            center_elevation_deg=_get_float(items, "center_elevation_deg", 90.0,
-                                            path, section),
-            gain_db=_get_float(items, "gain_db", 0.0, path, section),
-            tof_ns=_get_float(items, "tof_ns", 30.0, path, section),
-            aod_deg=_get_float(items, "aod_deg", 90.0, path, section),
-            leg_duty=_get_float(items, "leg_duty", 0.5, path, section),
-            head_gated=bool(_get_int(items, "head_gated", 0, path, section)),
-        )
-    except ValueError as exc:
-        raise SceneFileError(f"{path}: [{section}] {exc}") from exc
+    return PersonaParams(
+        elevation_span_deg=_get_float(items, "elevation_span_deg", None, path, section),
+        azimuth_span_deg=_get_float(items, "azimuth_span_deg", None, path, section),
+        gait_period_s=_get_float(items, "gait_period_s", None, path, section),
+        walk_speed_deg_per_s=_get_float(items, "walk_speed_deg_per_s", 6.0,
+                                        path, section),
+        start_azimuth_deg=_get_float(items, "start_azimuth_deg", 60.0, path, section),
+        center_elevation_deg=_get_float(items, "center_elevation_deg", 90.0,
+                                        path, section),
+        gain_db=_get_float(items, "gain_db", 0.0, path, section),
+        tof_ns=_get_float(items, "tof_ns", 30.0, path, section),
+        aod_deg=_get_float(items, "aod_deg", 90.0, path, section),
+        leg_duty=_get_float(items, "leg_duty", 0.5, path, section),
+        head_gated=bool(_get_int(items, "head_gated", 0, path, section)),
+    )

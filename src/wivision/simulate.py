@@ -37,25 +37,25 @@ class DegenerateSceneError(ValueError):
 
 @dataclass(frozen=True)
 class GainGate:
-    """Periodic on/off gain switch modeling specular visibility of a body part."""
+    """Periodic on/off gain switch modeling specular visibility of a body part.
+
+    The gain is 1 for the first ``duty`` fraction of each period and 0 after.
+    """
 
     period_s: float
     duty: float = 0.5
     phase_s: float = 0.0
-    off_gain: float = 0.0
 
     def __post_init__(self):
         if not self.period_s > 0:
             raise ValueError(f"gate period must be positive, got {self.period_s}")
         if not 0.0 < self.duty <= 1.0:
             raise ValueError(f"gate duty must be in (0, 1], got {self.duty}")
-        if self.off_gain < 0:
-            raise ValueError(f"gate off_gain must be >= 0, got {self.off_gain}")
 
     def values(self, t_s) -> np.ndarray:
         t = np.asarray(t_s, dtype=float)
         on = ((t - self.phase_s) % self.period_s) < self.duty * self.period_s
-        return np.where(on, 1.0, self.off_gain)
+        return on.astype(float)
 
 
 @dataclass(frozen=True)

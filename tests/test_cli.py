@@ -62,6 +62,11 @@ def run(*args):
     return main([str(a) for a in args])
 
 
+# a 4-window scan of the test scene on a small grid
+SCAN = ("--window", 100, "--stride", 100, "--tau-grid-ns", "0:40:10",
+        "--aod-grid-deg", "60,90,120")
+
+
 class TestExitCodes:
     def test_usage_error_is_1(self, capsys):
         assert run("spectrum") == EXIT_USAGE
@@ -131,6 +136,16 @@ def test_import_loads_no_scipy():
     assert (done.returncode, done.stdout) == (0, "[]\n")
 
 
+def three_spectra(tmp_path):
+    """A directory of three constant spectrum CSVs."""
+    indir = tmp_path / "spectra"
+    indir.mkdir()
+    for i in range(3):
+        write_spectrum_csv(Spectrum2D(np.full((180, 180), 1.0 + i)),
+                           indir / f"spectrum_{i:05d}.csv")
+    return indir
+
+
 class TestErrorReports:
     def test_non_finite_csif_is_2(self, scene_file, tmp_path, capsys):
         path = non_finite_csif(scene_file, tmp_path)
@@ -153,15 +168,47 @@ class TestErrorReports:
 
     @pytest.mark.filterwarnings("error")
     def test_zero_static_window_is_2(self, tmp_path, capsys):
-        indir = tmp_path / "spectra"
-        indir.mkdir()
-        for i in range(3):
-            write_spectrum_csv(Spectrum2D(np.full((180, 180), 1.0 + i)),
-                               indir / f"spectrum_{i:05d}.csv")
+        indir = three_spectra(tmp_path)
         assert run("enhance", "--in", indir, "--out", tmp_path / "o",
                    "--static-window", 0) == EXIT_INPUT
         assert capsys.readouterr().err == (
             "wivision: input error: static window must be >= 1\n")
+
+    @pytest.mark.parametrize("text, where, reason", [
+        ("[geometry]\nrx_0_m = a,0,0\n", "[geometry] ",
+         "rx_0_m = 'a,0,0' must be three numbers x,y,z"),
+        ("[simulation]\nduration_s = 0\n", "[simulation] ",
+         "duration_s must be positive, got 0.0"),
+        ("[channel]\ncarrier_hz = -1\n", "[channel] ",
+         "carrier_hz must be positive, got -1.0"),
+        ("[geometry]\nn_tx = 0\n", "[geometry] ", "n_tx must be >= 1, got 0"),
+        ("[geometry]\nn_tx = inf\n", "[geometry] ", "n_tx must be an integer"),
+        ("[persona:alice]\nelevation_span_deg = 10\nazimuth_span_deg = 10\n"
+         "gait_period_s = 1\nstart_azimuth_deg = 178\n", "[persona:alice] ",
+         "persona azimuth 184.0 deg leaves [1, 180]; reduce walk speed, duration, "
+         "or spans"),
+        ("[path:b]\ntag = los\n", "", "a scene may contain at most one los path, got 2"),
+        ("[path:b]\ngate_period_s = 0\n", "[path:b] ",
+         "gate period must be positive, got 0.0"),
+    ], ids=["rx_row", "duration", "carrier", "n_tx", "n_tx_inf", "persona_azimuth",
+            "two_los", "gate_period"])
+    def test_bad_scene_names_file_and_section(self, tmp_path, capsys, text, where,
+                                              reason):
+        path = tmp_path / "scene.ini"
+        path.write_text("[path:a]\ntag = los\n" + text)
+        assert run("simulate", "--scene", path, "--out", tmp_path / "s.csif") == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            f"wivision: input error: {path}: {where}{reason}\n")
+
+    def test_failed_enhancement_writes_no_spectra(self, scene_file, tmp_path, capsys):
+        # the 4-frame scan is shorter than a 5-frame static window; nothing is
+        # written until every image is computed
+        out = tmp_path / "run"
+        assert run("pipeline", "--scene", scene_file, "--out", out, *SCAN,
+                   "--static-window", 5) == EXIT_INPUT
+        assert capsys.readouterr().err == ("wivision: input error: static estimation "
+                                           "needs at least 5 frames, track has 4\n")
+        assert not (out / "spectra").exists()
 
     def test_bad_carrier_header_is_2(self, tmp_path, capsys):
         path = tmp_path / "carrier.csif"
@@ -263,6 +310,13 @@ class TestPipelineCommands:
         assert run("aggregate", "--in", enhanced, "--frames", 2,
                    "--out", tmp_path / "agg.pgm") == EXIT_OK
 
+    def test_global_enhance_of_short_track(self, tmp_path):
+        out = tmp_path / "enhanced"
+        assert run("enhance", "--in", three_spectra(tmp_path), "--out", out,
+                   "--static-mode", "global") == EXIT_OK
+        assert len(sorted(out.glob("*.csv"))) == 3
+        assert len(sorted(out.glob("*.pgm"))) == 3
+
     def test_pipeline_end_to_end(self, scene_file, tmp_path):
         out = tmp_path / "run"
         assert run("pipeline", "--scene", scene_file, "--out", out,
@@ -314,10 +368,8 @@ def usable_cpus(monkeypatch, n):
 
 
 def run_pipeline(scene_file, out):
-    return run("-v", "pipeline", "--scene", scene_file, "--out", out,
-               "--window", 100, "--stride", 100, "--static-window", 3,
-               "--frames", 2, "--tau-grid-ns", "0:40:10",
-               "--aod-grid-deg", "60,90,120")
+    return run("-v", "pipeline", "--scene", scene_file, "--out", out, *SCAN,
+               "--static-window", 3, "--frames", 2)
 
 
 def tree(root):
@@ -332,16 +384,29 @@ class TestFrameWriter:
         usable_cpus(monkeypatch, 1)
         assert cli._writer_processes(10) == 0
 
-    def test_workers_byte_identical(self, scene_file, tmp_path, monkeypatch, caplog):
+    @pytest.mark.parametrize("command", ["pipeline", "spectrum", "enhance"])
+    def test_workers_byte_identical(self, scene_file, tmp_path, monkeypatch, caplog,
+                                    command):
+        stream, spectra = tmp_path / "stream.csif", tmp_path / "spectra"
+        if command != "pipeline":
+            assert run("simulate", "--scene", scene_file, "--out", stream) == EXIT_OK
+            assert run("spectrum", "--in", stream, "--out", spectra, *SCAN) == EXIT_OK
+        # pipeline: stream.csif and 4 raw, 2 enhanced and 1 aggregate CSV/PGM pairs
+        frames, files = {"pipeline": (7, 15), "spectrum": (4, 8), "enhance": (2, 4)}[command]
+        argv = {
+            "pipeline": ("--scene", scene_file, *SCAN, "--static-window", 3, "--frames", 2),
+            "spectrum": ("--in", stream, *SCAN),
+            "enhance": ("--in", spectra, "--static-window", 3),
+        }[command]
         caplog.set_level(logging.INFO, logger="wivision")
         trees = []
         for cpus, how in ((1, "in-process"), (2, "with 2 worker processes")):
             usable_cpus(monkeypatch, cpus)
             out = tmp_path / f"cpus{cpus}"
-            assert run_pipeline(scene_file, out) == EXIT_OK
-            assert f"wrote 7 frames {how}" in caplog.text
+            assert run("-v", command, *argv, "--out", out) == EXIT_OK
+            assert f"wrote {frames} frames {how}" in caplog.text
             trees.append(tree(out))
-        assert len(trees[0]) == 15  # stream.csif and 7 CSV/PGM pairs
+        assert len(trees[0]) == files
         assert trees[0] == trees[1]
 
     @pytest.mark.parametrize("cpus", [1, 2])

@@ -131,6 +131,16 @@ class TestEnhanceTrack:
                             mode="global")
         assert len(out) == 12
 
+    def test_global_ignores_static_window(self, rng):
+        # global mode takes its median over the whole track, however short
+        frames = [Spectrum2D(rng.uniform(1, 2, (180, 180)), timestamp_ns=i)
+                  for i in range(10)]
+        out = enhance_track(track_of(frames), mode="global")
+        expected = enhance_track(track_of(frames), static_window=10, mode="global")
+        assert len(out) == 10
+        for a, b in zip(out.frames, expected.frames):
+            assert np.array_equal(a.grid, b.grid)
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("mode", ["rolling", "global"])
     @pytest.mark.parametrize("window", [0, -2])

@@ -39,7 +39,8 @@ class DegenerateSceneError(ValueError):
 class GainGate:
     """Periodic on/off gain switch modeling specular visibility of a body part.
 
-    The gain is 1 for the first ``duty`` fraction of each period and 0 after.
+    The gain is 1 for the first ``duty`` fraction of each period, counted from
+    ``phase_s``, and 0 for the rest.
     """
 
     period_s: float

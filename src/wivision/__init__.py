@@ -3,7 +3,7 @@
 from .arraymodel import ArrayGeometry, ChannelConfig, PathHypothesis, default_geometry
 from .csif import CsifFormatError, read_csif, write_csif
 from .export import read_spectrum_csv, write_pgm, write_spectrum_csv
-from .imaging import SpectrumTrack, aggregate, enhance, enhance_track, static_estimate
+from .imaging import SpectrumTrack, aggregate, enhance_track
 from .music import (
     GridSpec,
     NoiseSubspace,

@@ -2,8 +2,10 @@
 
 Subcommands: ``simulate``, ``spectrum``, ``enhance``, ``aggregate``, ``reid``,
 and ``pipeline`` (all stages in one run).  Exit codes: 0 success, 1 usage,
-2 input error, 3 numerical failure.  Outputs are byte-identical for the same
-inputs, seed, and flags regardless of the CPU count.
+2 input error, 3 numerical failure.  For the same inputs, seed and flags, the
+number of writer processes never changes the output bytes; the number of BLAS
+threads, which OpenBLAS takes from the usable CPUs unless
+``OPENBLAS_NUM_THREADS`` is set, can change the last digits of a spectrum CSV.
 
 Each command computes all its images first, then writes every frame's CSV
 and PGM in one pass, on one forked worker process per usable CPU (in this
@@ -21,6 +23,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +33,6 @@ from .sanitize import sanitize as sanitize_stream
 from .simulate import (
     CsiStream,
     DegenerateSceneError,
-    Scene,
     degrade_stream,
     inject_phase_offsets,
     simulate as run_simulation,
@@ -162,11 +164,7 @@ def _grids_from_args(args) -> music.GridSpec:
 def _load_bundle(args) -> scenefile.SceneBundle:
     bundle = scenefile.load_scene(args.scene)
     if args.seed is not None:
-        scene = bundle.scene
-        scene = Scene(scene.paths, snr_db=scene.snr_db,
-                               packet_rate_hz=scene.packet_rate_hz,
-                               duration_s=scene.duration_s, rng_seed=args.seed)
-        bundle = scenefile.SceneBundle(bundle.config, bundle.geometry, scene)
+        bundle = replace(bundle, scene=replace(bundle.scene, rng_seed=args.seed))
     return bundle
 
 

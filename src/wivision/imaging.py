@@ -1,13 +1,14 @@
 """Human-centric processing of spectrum tracks.
 
 Raw angle images mix the person with the line-of-sight and every static
-reflector.  The static component is estimated as a per-bin temporal median
-(robust to the person transiting a bin) and subtracted in the linear power
-domain; weak residuals such as secondary reflections are removed with a dB
-threshold relative to the enhanced image's maximum.  Because the body reflects
-specularly, a single frame only images the body parts oriented toward the
-receiver, so several consecutive enhanced frames are aggregated with a per-bin
-maximum.
+reflector.  :func:`enhance_track` stacks a track into one array, estimates the
+static component as a per-bin temporal median (robust to the person transiting
+a bin), and then subtracts it from every frame in one pass, in the linear
+power domain; weak residuals such as secondary reflections are removed with a
+dB threshold relative to each enhanced frame's maximum.  Because the body
+reflects specularly, a single frame only images the body parts oriented toward
+the receiver, so several consecutive enhanced frames are aggregated with a
+per-bin maximum.
 """
 
 from __future__ import annotations
@@ -34,51 +35,15 @@ class SpectrumTrack:
     def __post_init__(self):
         if not self.frame_rate_hz > 0:
             raise ValueError(f"frame_rate_hz must be positive, got {self.frame_rate_hz}")
-        shapes = {f.grid.shape for f in self.frames}
-        if len(shapes) > 1:
-            raise ValueError(f"track frames must share one shape, got {shapes}")
 
     def __len__(self) -> int:
         return len(self.frames)
 
     def append(self, frame: Spectrum2D) -> None:
-        if self.frames and frame.grid.shape != self.frames[0].grid.shape:
-            raise ValueError("appended frame shape does not match track")
         self.frames.append(frame)
 
     def stack(self) -> np.ndarray:
         return np.stack([f.grid for f in self.frames])
-
-
-def static_estimate(track: SpectrumTrack, window: int = DEFAULT_STATIC_WINDOW) -> Spectrum2D:
-    """Per-bin temporal median over the trailing ``window`` frames."""
-    if window < 1:
-        raise ValueError("static window must be >= 1")
-    if len(track) < window:
-        raise ValueError(
-            f"static estimation needs at least {window} frames, track has {len(track)}"
-        )
-    block = np.stack([f.grid for f in track.frames[-window:]])
-    return Spectrum2D(np.median(block, axis=0), timestamp_ns=track.frames[-1].timestamp_ns)
-
-
-def enhance(frame: Spectrum2D, static: Spectrum2D,
-            floor_db: float = DEFAULT_FLOOR_DB) -> Spectrum2D:
-    """Subtract the static spectrum and zero bins far below the new maximum.
-
-    Subtraction happens in linear power (clamped at zero); afterwards every bin
-    more than ``floor_db`` below the enhanced image's maximum is zeroed, which
-    removes weak secondary reflections.
-    """
-    if frame.grid.shape != static.grid.shape:
-        raise ValueError(
-            f"frame shape {frame.grid.shape} does not match static {static.grid.shape}"
-        )
-    diff = np.maximum(frame.grid - static.grid, 0.0)
-    peak = diff.max()
-    if peak > 0 and np.isfinite(floor_db):
-        diff[diff < peak * 10.0 ** (-floor_db / 10.0)] = 0.0
-    return Spectrum2D(diff, timestamp_ns=frame.timestamp_ns)
 
 
 def aggregate(track: SpectrumTrack, k: int = DEFAULT_AGGREGATE_FRAMES) -> Spectrum2D:
@@ -96,12 +61,16 @@ def enhance_track(track: SpectrumTrack, static_window: int = DEFAULT_STATIC_WIND
                   mode: str = "rolling") -> SpectrumTrack:
     """Enhance every frame of a raw track.
 
-    ``rolling`` uses, for each frame, the median over the trailing
-    ``static_window`` frames ending at that frame (the first
-    ``static_window - 1`` frames are dropped).  ``global`` estimates one static
-    spectrum from the median over the whole track and applies it everywhere,
-    which suits short captures where a moving subject never dominates a bin;
-    it does not use ``static_window``.
+    The static spectrum is a per-bin median.  ``rolling`` takes, for each
+    frame, the median over the trailing ``static_window`` frames ending at that
+    frame (the first ``static_window - 1`` frames are dropped).  ``global``
+    takes one median over the whole track and applies it everywhere, which
+    suits short captures where a moving subject never dominates a bin; it does
+    not use ``static_window``.
+
+    Each frame minus its static spectrum is clamped at zero; then every bin
+    more than ``floor_db`` below that frame's maximum is zeroed, which removes
+    weak secondary reflections.  A non-finite ``floor_db`` zeroes nothing.
     """
     if mode not in ("rolling", "global"):
         raise ValueError(f"mode must be 'rolling' or 'global', got {mode!r}")
@@ -112,15 +81,21 @@ def enhance_track(track: SpectrumTrack, static_window: int = DEFAULT_STATIC_WIND
         raise ValueError(
             f"static estimation needs at least {needed} frames, track has {len(track)}"
         )
-    out = SpectrumTrack(frame_rate_hz=track.frame_rate_hz)
-    if mode == "global":
-        static = static_estimate(track, window=len(track))
-        for frame in track.frames:
-            out.append(enhance(frame, static, floor_db))
-        return out
     stack = track.stack()
-    for i in range(static_window - 1, len(track)):
-        block = stack[i - static_window + 1:i + 1]
-        static = Spectrum2D(np.median(block, axis=0))
-        out.append(enhance(track.frames[i], static, floor_db))
-    return out
+    if mode == "global":
+        frames = track.frames
+        diff = stack
+        diff -= np.median(stack, axis=0)
+    else:
+        frames = track.frames[static_window - 1:]
+        diff = np.empty((len(frames),) + stack.shape[1:])
+        for j in range(len(frames)):
+            diff[j] = np.median(stack[j:j + static_window], axis=0)
+        np.subtract(stack[static_window - 1:], diff, out=diff)
+    np.maximum(diff, 0.0, out=diff)
+    if np.isfinite(floor_db):
+        peak = diff.max(axis=(1, 2), keepdims=True)
+        diff[diff < peak * 10.0 ** (-floor_db / 10.0)] = 0.0
+    return SpectrumTrack([Spectrum2D(d, timestamp_ns=f.timestamp_ns)
+                          for d, f in zip(diff, frames)],
+                         frame_rate_hz=track.frame_rate_hz)

@@ -234,12 +234,12 @@ def noise_subspace_from_window(window: SnapshotWindow,
     return NoiseSubspace(signal, s_hat, eigenvalues=lam)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Spectrum2D:
     """180 x 180 nonnegative power image over (azimuth, elevation).
 
     ``grid[i, j]`` is the power at azimuth ``i + 1`` degrees and elevation
-    ``j + 1`` degrees.
+    ``j + 1`` degrees.  The grid is stored read-only, without a copy.
     """
 
     grid: np.ndarray
@@ -252,7 +252,8 @@ class Spectrum2D:
                              f"got {g.shape}")
         if not np.all(np.isfinite(g)) or np.any(g < 0):
             raise ValueError("spectrum values must be finite and >= 0")
-        self.grid = g
+        g.setflags(write=False)
+        object.__setattr__(self, "grid", g)
 
     def argmax_angles(self) -> tuple[int, int]:
         """(azimuth_deg, elevation_deg) of the strongest bin."""

@@ -14,7 +14,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .imaging import SpectrumTrack, aggregate
+from .imaging import SpectrumTrack
 
 MIN_FEATURE_FRAMES = 50
 FEATURE_FLOOR_DB = 20.0
@@ -79,7 +79,8 @@ def extract_features(track: SpectrumTrack) -> FeatureVector:
     if len(track) < MIN_FEATURE_FRAMES:
         raise ValueError(f"feature extraction needs at least {MIN_FEATURE_FRAMES} frames, "
                          f"track has {len(track)}")
-    agg = aggregate(track, k=len(track)).grid
+    stack = track.stack()
+    agg = stack.max(axis=0)
     peak = agg.max()
     if peak <= 0:
         raise ValueError("track is all-zero; no subject to describe")
@@ -90,7 +91,7 @@ def extract_features(track: SpectrumTrack) -> FeatureVector:
     weights = agg[active]
     centroid_el = float(np.sum(el_deg * weights) / np.sum(weights))
 
-    power = track.stack().sum(axis=(1, 2))
+    power = stack.sum(axis=(1, 2))
     total_power = float(power.mean())
     # smoothing suppresses frame-rate texture (window straddling, bin
     # crossings) so the modulation and its period reflect the subject

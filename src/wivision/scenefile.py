@@ -12,7 +12,8 @@ Sections:
                    elevation_deg,tof_ns,aod_deg} trajectory rows
 * ``[persona:NAME]`` elevation_span_deg, azimuth_span_deg, gait_period_s,
                    walk_speed_deg_per_s, start_azimuth_deg,
-                   center_elevation_deg, gain_db, tof_ns, aod_deg
+                   center_elevation_deg, gain_db, tof_ns, aod_deg, leg_duty,
+                   head_gated (0 or 1)
 
 Unknown sections or keys are rejected.  All sections are optional; missing
 values fall back to the documented defaults.  Persona sections expand into
@@ -30,7 +31,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .arraymodel import ArrayGeometry, ChannelConfig, PathHypothesis
-from .simulate import GainGate, PersonaParams, Scene, ScenePath, human_walk_preset
+from .simulate import (
+    GainGate,
+    PersonaParams,
+    Scene,
+    ScenePath,
+    amplitude_from_db,
+    human_walk_preset,
+)
 
 _CHANNEL_KEYS = {"carrier_hz", "subcarrier_spacing_hz", "tx_spacing_m"}
 _GEOMETRY_KEYS = {"layout", "arm_x", "arm_z", "spacing_m", "n_tx", "n_subcarriers"}
@@ -224,7 +232,7 @@ def _parse_path(section: str, items, path) -> ScenePath:
     aod = _get_float(items, "aod_deg", 90.0, path, section)
     gain_db = _get_float(items, "gain_db", 0.0, path, section)
     phase_deg = _get_float(items, "phase_deg", 0.0, path, section)
-    gain = 10.0 ** (gain_db / 20.0) * np.exp(1j * np.deg2rad(phase_deg))
+    gain = amplitude_from_db(gain_db) * np.exp(1j * np.deg2rad(phase_deg))
 
     gate = None
     if "gate_period_s" in items:
@@ -267,6 +275,9 @@ def _parse_persona(section: str, items, path) -> PersonaParams:
     missing = sorted(required - set(items))
     if missing:
         raise SceneFileError(f"{path}: [{section}] missing keys {missing}")
+    head_gated = _get_int(items, "head_gated", 0, path, section)
+    if head_gated not in (0, 1):
+        raise SceneFileError(f"{path}: [{section}] head_gated must be 0 or 1, got {head_gated}")
     return PersonaParams(
         elevation_span_deg=_get_float(items, "elevation_span_deg", None, path, section),
         azimuth_span_deg=_get_float(items, "azimuth_span_deg", None, path, section),
@@ -280,5 +291,5 @@ def _parse_persona(section: str, items, path) -> PersonaParams:
         tof_ns=_get_float(items, "tof_ns", 30.0, path, section),
         aod_deg=_get_float(items, "aod_deg", 90.0, path, section),
         leg_duty=_get_float(items, "leg_duty", 0.5, path, section),
-        head_gated=bool(_get_int(items, "head_gated", 0, path, section)),
+        head_gated=bool(head_gated),
     )

@@ -59,6 +59,17 @@ class GainGate:
         return on.astype(float)
 
 
+def amplitude_from_db(gain_db: float) -> float:
+    """Amplitude ``10 ** (gain_db / 20)``; ValueError unless it is finite and positive."""
+    try:
+        amplitude = 10.0 ** (gain_db / 20.0)
+    except OverflowError:
+        amplitude = math.inf
+    if not 0.0 < amplitude < math.inf:
+        raise ValueError(f"gain_db must give a finite, positive amplitude, got {gain_db:g}")
+    return amplitude
+
+
 @dataclass(frozen=True)
 class ScenePath:
     """One ground-truth propagation path.
@@ -330,7 +341,7 @@ def human_walk_preset(persona: PersonaParams, duration_s: float = 2.0,
     drift = p.walk_speed_deg_per_s * duration_s
     half_el = p.elevation_span_deg / 2.0
     half_az = p.azimuth_span_deg / 2.0
-    base = 10.0 ** (p.gain_db / 20.0)
+    base = amplitude_from_db(p.gain_db)
     ns = 1e-9
 
     def stance_keyframes(az0, el, tof):

@@ -7,6 +7,9 @@
 * The scalar per-element phase model and the full virtual steering vector,
   against which the broadcasting factor functions of ``wivision.arraymodel``
   are checked.
+* Background subtraction one frame at a time: a trailing-window median per
+  frame and a subtract-clamp-floor per frame, against which the one-pass
+  ``wivision.imaging.enhance_track`` is checked bit for bit.
 """
 
 from __future__ import annotations
@@ -25,7 +28,8 @@ from wivision.arraymodel import (
     subcarrier_factors,
     tx_factors,
 )
-from wivision.music import NoiseSubspace, SnapshotWindow, estimate_source_count
+from wivision.imaging import SpectrumTrack
+from wivision.music import NoiseSubspace, SnapshotWindow, Spectrum2D, estimate_source_count
 
 
 def covariance(window: SnapshotWindow) -> np.ndarray:
@@ -122,3 +126,30 @@ def virtual_steering_vector(cfg: ChannelConfig, geom: ArrayGeometry,
     values = tensor.transpose(1, 0, 2).reshape(geom.dim)
     return SteeringVector(values, n_rx=geom.n_rx, n_tx=geom.n_tx,
                           n_subcarriers=geom.n_subcarriers)
+
+
+def static_estimate(track: SpectrumTrack, window: int) -> Spectrum2D:
+    """Per-bin temporal median over the trailing ``window`` frames."""
+    block = np.stack([f.grid for f in track.frames[-window:]])
+    return Spectrum2D(np.median(block, axis=0), timestamp_ns=track.frames[-1].timestamp_ns)
+
+
+def enhance(frame: Spectrum2D, static: Spectrum2D, floor_db: float) -> Spectrum2D:
+    """Subtract ``static`` in linear power, clamp at zero, zero bins far below the peak."""
+    diff = np.maximum(frame.grid - static.grid, 0.0)
+    peak = diff.max()
+    if peak > 0 and np.isfinite(floor_db):
+        diff[diff < peak * 10.0 ** (-floor_db / 10.0)] = 0.0
+    return Spectrum2D(diff, timestamp_ns=frame.timestamp_ns)
+
+
+def enhance_track(track: SpectrumTrack, static_window: int, floor_db: float,
+                  mode: str) -> list[Spectrum2D]:
+    """Enhanced frames of ``track``, each against its own static estimate."""
+    if mode == "global":
+        static = static_estimate(track, len(track))
+        return [enhance(f, static, floor_db) for f in track.frames]
+    return [enhance(track.frames[i],
+                    static_estimate(SpectrumTrack(track.frames[:i + 1]), static_window),
+                    floor_db)
+            for i in range(static_window - 1, len(track))]

@@ -190,8 +190,21 @@ class TestErrorReports:
         ("[path:b]\ntag = los\n", "", "a scene may contain at most one los path, got 2"),
         ("[path:b]\ngate_period_s = 0\n", "[path:b] ",
          "gate period must be positive, got 0.0"),
+        ("[path:b]\ngain_db = 1e6\n", "[path:b] ",
+         "gain_db must give a finite, positive amplitude, got 1e+06"),
+        ("[path:b]\ngain_db = inf\n", "[path:b] ",
+         "gain_db must give a finite, positive amplitude, got inf"),
+        ("[path:b]\ngain_db = nan\n", "[path:b] ",
+         "gain_db must give a finite, positive amplitude, got nan"),
+        ("[persona:alice]\nelevation_span_deg = 10\nazimuth_span_deg = 10\n"
+         "gait_period_s = 1\ngain_db = 1e6\n", "[persona:alice] ",
+         "gain_db must give a finite, positive amplitude, got 1e+06"),
+        ("[persona:alice]\nelevation_span_deg = 10\nazimuth_span_deg = 10\n"
+         "gait_period_s = 1\nhead_gated = 7\n", "[persona:alice] ",
+         "head_gated must be 0 or 1, got 7"),
     ], ids=["rx_row", "duration", "carrier", "n_tx", "n_tx_inf", "persona_azimuth",
-            "two_los", "gate_period"])
+            "two_los", "gate_period", "path_gain_overflow", "path_gain_inf",
+            "path_gain_nan", "persona_gain_overflow", "head_gated"])
     def test_bad_scene_names_file_and_section(self, tmp_path, capsys, text, where,
                                               reason):
         path = tmp_path / "scene.ini"

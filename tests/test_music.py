@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -278,6 +279,22 @@ class TestGridSpec:
     def test_rejects_non_finite(self, field, bad):
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             GridSpec(**{field: np.array([1.0, 2.0, bad])})
+
+
+class TestSpectrum2D:
+    def test_grid_is_read_only(self):
+        grid = np.ones((180, 180))
+        spec = Spectrum2D(grid)
+        assert spec.grid is grid  # kept without a copy
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            spec.grid = np.zeros((180, 180))
+        with pytest.raises(ValueError, match="read-only"):
+            spec.grid[0, 0] = 2.0
+        assert spec.grid[0, 0] == 1.0
+
+    def test_rejects_other_shapes(self):
+        with pytest.raises(ValueError, match="must be 180x180, got \\(90, 90\\)"):
+            Spectrum2D(np.zeros((90, 90)))
 
 
 class TestSpectrum:

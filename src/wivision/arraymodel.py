@@ -83,6 +83,8 @@ class ArrayGeometry:
         pos = np.atleast_2d(np.asarray(self.rx_positions, dtype=float))
         if pos.ndim != 2 or pos.shape[1] != 3 or pos.shape[0] == 0:
             raise ValueError(f"rx_positions must be a nonempty (n, 3) array, got {pos.shape}")
+        if not np.isfinite(pos).all():
+            raise ValueError("rx positions must be finite")
         if np.any(pos[:, 1] != 0.0):
             raise ValueError("rx positions must lie in the y == 0 plane")
         pos.setflags(write=False)

@@ -50,7 +50,11 @@ def packet_size_bytes(n_rx: int, n_tx: int, n_su: int) -> int:
 
 
 def write_csif(stream: CsiStream, path) -> None:
-    """Serialize a stream; values are stored at float32 precision."""
+    """Serialize a stream; values are stored at float32 precision.
+
+    A value beyond the float32 range raises :class:`CsifFormatError` naming the
+    first packet at fault, before the file is opened.
+    """
     geom = stream.geometry
     n_rx, n_tx, n_su = geom.n_rx, geom.n_tx, geom.n_subcarriers
     for dim, name in ((n_rx, "n_rx"), (n_tx, "n_tx"), (n_su, "n_su")):
@@ -61,7 +65,15 @@ def write_csif(stream: CsiStream, path) -> None:
                           stream.config.subcarrier_spacing_hz, len(stream))
     packets = np.empty(len(stream), dtype=_packet_dtype(n_rx, n_tx, n_su))
     packets["ts"] = stream.timestamps_ns
-    packets["iq"] = stream.tensors
+    try:
+        with np.errstate(over="raise"):
+            packets["iq"] = stream.tensors
+    except FloatingPointError:
+        with np.errstate(over="ignore"):
+            cast = stream.tensors.astype(np.complex64)
+        fits = np.isfinite(cast).reshape(len(stream), -1).all(axis=1)
+        raise CsifFormatError(f"packet {int(np.argmin(fits))}: tensor values exceed "
+                              "the complex64 range") from None
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(packets)

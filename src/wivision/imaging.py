@@ -70,10 +70,13 @@ def enhance_track(track: SpectrumTrack, static_window: int = DEFAULT_STATIC_WIND
 
     Each frame minus its static spectrum is clamped at zero; then every bin
     more than ``floor_db`` below that frame's maximum is zeroed, which removes
-    weak secondary reflections.  A non-finite ``floor_db`` zeroes nothing.
+    weak secondary reflections.  ``floor_db`` must be >= 0 or infinite; an
+    infinite one zeroes nothing.
     """
     if mode not in ("rolling", "global"):
         raise ValueError(f"mode must be 'rolling' or 'global', got {mode!r}")
+    if not (floor_db >= 0 or np.isinf(floor_db)):
+        raise ValueError(f"floor_db must be >= 0 or infinite, got {floor_db}")
     if static_window < 1:
         raise ValueError("static window must be >= 1")
     needed = static_window if mode == "rolling" else 1

@@ -9,7 +9,7 @@ it is not a learned embedding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -20,15 +20,6 @@ MIN_FEATURE_FRAMES = 50
 FEATURE_FLOOR_DB = 20.0
 SMOOTHING_FRAMES = 5
 MIN_GAIT_AUTOCORR = 0.25
-
-FEATURE_NAMES = (
-    "elevation_extent_deg",
-    "azimuth_extent_deg",
-    "total_power",
-    "centroid_elevation_deg",
-    "gait_period_s",
-    "power_modulation_depth",
-)
 
 
 @dataclass(frozen=True)
@@ -51,7 +42,7 @@ class FeatureVector:
             raise ValueError("modulation depth must be in [0, 1]")
 
     def as_array(self) -> np.ndarray:
-        return np.array([getattr(self, name) for name in FEATURE_NAMES])
+        return np.array(astuple(self))
 
 
 def _dominant_autocorr_lag(series: np.ndarray, min_peak: float) -> int:

@@ -192,19 +192,32 @@ class TestErrorReports:
          "gate period must be positive, got 0.0"),
         ("[path:b]\ngain_db = 1e6\n", "[path:b] ",
          "gain_db must give a finite, positive amplitude, got 1e+06"),
-        ("[path:b]\ngain_db = inf\n", "[path:b] ",
-         "gain_db must give a finite, positive amplitude, got inf"),
-        ("[path:b]\ngain_db = nan\n", "[path:b] ",
-         "gain_db must give a finite, positive amplitude, got nan"),
+        ("[path:b]\ngain_db = inf\n", "[path:b] ", "gain_db must be finite, got inf"),
+        ("[path:b]\ngain_db = nan\n", "[path:b] ", "gain_db must be finite, got nan"),
         ("[persona:alice]\nelevation_span_deg = 10\nazimuth_span_deg = 10\n"
          "gait_period_s = 1\ngain_db = 1e6\n", "[persona:alice] ",
          "gain_db must give a finite, positive amplitude, got 1e+06"),
         ("[persona:alice]\nelevation_span_deg = 10\nazimuth_span_deg = 10\n"
          "gait_period_s = 1\nhead_gated = 7\n", "[persona:alice] ",
          "head_gated must be 0 or 1, got 7"),
+        ("[simulation]\npacket_rate_hz = inf\n", "[simulation] ",
+         "packet_rate_hz must be finite, got inf"),
+        ("[simulation]\nduration_s = inf\n", "[simulation] ",
+         "duration_s must be finite, got inf"),
+        ("[simulation]\nsnr_db = nan\n", "[simulation] ",
+         "snr_db must be finite or inf, got nan"),
+        ("[path:b]\ntof_ns = inf\n", "[path:b] ", "tof_ns must be finite, got inf"),
+        ("[path:b]\nphase_deg = inf\n", "[path:b] ", "phase_deg must be finite, got inf"),
+        ("[path:b]\ngate_period_s = inf\n", "[path:b] ",
+         "gate_period_s must be finite, got inf"),
+        ("[persona:alice]\nelevation_span_deg = 10\nazimuth_span_deg = 10\n"
+         "gait_period_s = inf\n", "[persona:alice] ", "gait_period_s must be finite, got inf"),
+        ("[geometry]\nrx_0_m = inf,0,0\n", "[geometry] ", "rx positions must be finite"),
     ], ids=["rx_row", "duration", "carrier", "n_tx", "n_tx_inf", "persona_azimuth",
             "two_los", "gate_period", "path_gain_overflow", "path_gain_inf",
-            "path_gain_nan", "persona_gain_overflow", "head_gated"])
+            "path_gain_nan", "persona_gain_overflow", "head_gated", "packet_rate_inf",
+            "duration_inf", "snr_nan", "tof_inf", "phase_inf", "gate_period_inf",
+            "gait_period_inf", "rx_row_inf"])
     def test_bad_scene_names_file_and_section(self, tmp_path, capsys, text, where,
                                               reason):
         path = tmp_path / "scene.ini"
@@ -212,6 +225,30 @@ class TestErrorReports:
         assert run("simulate", "--scene", path, "--out", tmp_path / "s.csif") == EXIT_INPUT
         assert capsys.readouterr().err == (
             f"wivision: input error: {path}: {where}{reason}\n")
+
+    def test_complex64_overflow_writes_no_stream(self, tmp_path, capsys):
+        # a 6000 dB amplitude is a finite float64 that complex64 cannot hold
+        path = tmp_path / "scene.ini"
+        path.write_text("[path:a]\ntag = los\n[path:b]\ngain_db = 6000\n")
+        out = tmp_path / "s.csif"
+        assert run("simulate", "--scene", path, "--out", out) == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            "wivision: input error: packet 0: tensor values exceed the complex64 range\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["enhance", "pipeline"])
+    @pytest.mark.parametrize("floor_db", ["-4000", "-5", "nan"])
+    def test_bad_floor_writes_no_frames(self, scene_file, tmp_path, capsys, command,
+                                        floor_db):
+        out = tmp_path / "run"
+        source = (("--in", three_spectra(tmp_path), "--static-mode", "global")
+                  if command == "enhance" else
+                  ("--scene", scene_file, *SCAN, "--static-window", 3, "--frames", 2))
+        assert run(command, *source, "--out", out, "--floor-db", floor_db) == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            f"wivision: input error: floor_db must be >= 0 or infinite, "
+            f"got {float(floor_db)}\n")
+        assert not list(out.rglob("*.csv")) and not list(out.rglob("*.pgm"))
 
     def test_failed_enhancement_writes_no_spectra(self, scene_file, tmp_path, capsys):
         # the 4-frame scan is shorter than a 5-frame static window; nothing is

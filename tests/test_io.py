@@ -1,6 +1,9 @@
 import math
+import re
 import struct
 import sys
+from configparser import ConfigParser
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +12,9 @@ from hypothesis import strategies as st
 
 from wivision import (
     ArrayGeometry,
+    ChannelConfig,
     CsifFormatError,
+    GainGate,
     PathHypothesis,
     Scene,
     SceneFileError,
@@ -21,6 +26,7 @@ from wivision import (
     simulate,
     write_csif,
 )
+from wivision import scenefile
 from wivision.csif import packet_size_bytes
 from wivision.export import _csv_rows, read_spectrum_csv, write_pgm, write_spectrum_csv
 
@@ -47,6 +53,15 @@ class TestCsif:
         write_csif(stream, a)
         write_csif(stream, b)
         assert a.read_bytes() == b.read_bytes()
+
+    def test_value_beyond_complex64_names_packet(self, stream, tmp_path):
+        tensors = stream.tensors.copy()
+        tensors[2, 0, 0, 1] = 1e300j
+        path = tmp_path / "big.csif"
+        with pytest.raises(CsifFormatError,
+                           match=r"^packet 2: tensor values exceed the complex64 range$"):
+            write_csif(replace(stream, tensors=tensors), path)
+        assert not path.exists()
 
     def test_packet_size_arithmetic(self):
         assert packet_size_bytes(9, 3, 30) == 8 + 2 * 810 * 4 == 6488
@@ -391,3 +406,135 @@ gait_period_s = 1.0
         path = tmp_path / "scene.ini"
         path.write_text(SCENE_TEXT)
         assert math.isinf(load_scene(path).scene.snr_db)
+
+
+# Every key the scene format has, each set to a valid value that no default
+# holds.  RX_ROWS_GEOMETRY swaps the L-shape keys for explicit rows, next to
+# which spacing_m is ignored.
+LAYOUT_GEOMETRY = """
+[geometry]
+layout = l_shape
+arm_x = 3
+arm_z = 2
+spacing_m = 0.02
+n_tx = 2
+n_subcarriers = 4
+"""
+
+RX_ROWS_GEOMETRY = """
+[geometry]
+rx_0_m = 0,0,0
+rx_1_m = 0.025,0,0
+rx_2_m = 0,0,0.025
+spacing_m = 0.02
+n_tx = 2
+n_subcarriers = 4
+"""
+
+EVERY_KEY_SCENE = """
+[channel]
+carrier_hz = 5.0e9
+subcarrier_spacing_hz = 1.0e6
+tx_spacing_m = 0.03
+""" + LAYOUT_GEOMETRY + """
+[simulation]
+snr_db = 20
+packet_rate_hz = 500
+duration_s = 0.2
+seed = 5
+
+[path:walker]
+tag = human
+azimuth_deg = 80
+elevation_deg = 100
+tof_ns = 25
+aod_deg = 70
+gain_db = -2
+phase_deg = 30
+phase_jitter = 0.5
+gate_period_s = 0.4
+gate_duty = 0.25
+gate_phase_s = 0.1
+keyframe_0_time_s = 0.0
+keyframe_0_azimuth_deg = 80
+keyframe_0_elevation_deg = 100
+keyframe_0_tof_ns = 25
+keyframe_0_aod_deg = 70
+keyframe_1_time_s = 0.2
+keyframe_1_azimuth_deg = 85
+keyframe_1_elevation_deg = 95
+keyframe_1_tof_ns = 28
+keyframe_1_aod_deg = 75
+
+[persona:alice]
+elevation_span_deg = 20
+azimuth_span_deg = 8
+gait_period_s = 0.8
+walk_speed_deg_per_s = 5
+start_azimuth_deg = 70
+center_elevation_deg = 95
+gain_db = -1
+tof_ns = 35
+aod_deg = 100
+leg_duty = 0.4
+head_gated = 1
+"""
+
+
+def documented_keys() -> dict[str, set[str]]:
+    """Section kind -> the ``key`` literals of its bullet in the scenefile docstring."""
+    bullets = re.findall(r"^\* ``\[(\w+)(?::NAME)?\]``(.*?)(?=^\*|^$)",
+                         scenefile.__doc__, re.S | re.M)
+    return {kind: set(re.findall(r"``([^`]+)``", body)) for kind, body in bullets}
+
+
+def keys_in(text: str) -> dict[str, set[str]]:
+    """Section kind -> the keys a scene text sets, row numbers written ``<i>``."""
+    parser = ConfigParser(interpolation=None)
+    parser.optionxform = str
+    parser.read_string(text)
+    return {name.split(":")[0]: {re.sub(r"_\d+_", "_<i>_", key) for key in parser[name]}
+            for name in parser.sections()}
+
+
+class TestSceneFormatDocs:
+    def test_docstring_lists_the_parser_keys(self):
+        fields = re.search(r"\(([\w|]+)\)\$$", scenefile._KEYFRAME_RE.pattern).group(1)
+        assert scenefile._RX_ROW_RE.match("rx_0_m")
+        assert documented_keys() == {
+            "channel": scenefile._CHANNEL_KEYS,
+            "geometry": scenefile._GEOMETRY_KEYS | {"rx_<i>_m"},
+            "simulation": scenefile._SIMULATION_KEYS,
+            "path": scenefile._PATH_KEYS | {f"keyframe_<i>_{f}" for f in fields.split("|")},
+            "persona": scenefile._PERSONA_KEYS,
+        }
+
+    def test_every_documented_key_loads(self, tmp_path):
+        rows_scene = EVERY_KEY_SCENE.replace(LAYOUT_GEOMETRY, RX_ROWS_GEOMETRY)
+        used = keys_in(EVERY_KEY_SCENE)
+        used["geometry"] |= keys_in(rows_scene)["geometry"]
+        assert used == documented_keys()
+
+        path = tmp_path / "every_key.ini"
+        path.write_text(EVERY_KEY_SCENE)
+        bundle = load_scene(path)
+        assert bundle.config == ChannelConfig(5.0e9, 1.0e6, 0.03)
+        assert bundle.geometry.n_rx == 4
+        np.testing.assert_array_equal(bundle.geometry.rx_positions[:, 2], [0, 0, 0, 0.02])
+        assert (bundle.geometry.n_tx, bundle.geometry.n_subcarriers) == (2, 4)
+        scene = bundle.scene
+        assert (scene.snr_db, scene.packet_rate_hz, scene.duration_s,
+                scene.rng_seed) == (20.0, 500.0, 0.2, 5)
+        walker = scene.paths[0]
+        assert walker.hypothesis == PathHypothesis(80, 100, 25 * 1e-9, 70)
+        assert walker.gain == pytest.approx(10 ** (-2 / 20) * np.exp(1j * np.pi / 6))
+        assert (walker.tag, walker.phase_jitter) == ("human", 0.5)
+        assert walker.gate == GainGate(0.4, 0.25, 0.1)
+        assert walker.motion[1] == (0.2, PathHypothesis(85, 95, 28 * 1e-9, 75))
+        assert len(scene.paths) == 5  # the walker plus alice's head, torso and legs
+
+        path.write_text(rows_scene)
+        geometry = load_scene(path).geometry
+        np.testing.assert_array_equal(
+            geometry.rx_positions, [[0, 0, 0], [0.025, 0, 0], [0, 0, 0.025]])
+        assert (geometry.n_tx, geometry.n_subcarriers) == (2, 4)

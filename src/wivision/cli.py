@@ -2,27 +2,29 @@
 
 Subcommands: ``simulate``, ``spectrum``, ``enhance``, ``aggregate``, ``reid``,
 and ``pipeline`` (all stages in one run).  Exit codes: 0 success, 1 usage,
-2 input error, 3 numerical failure.  For the same inputs, seed and flags, the
-number of writer processes never changes the output bytes; the number of BLAS
-threads, which OpenBLAS takes from the usable CPUs unless
-``OPENBLAS_NUM_THREADS`` is set, can change the last digits of a spectrum CSV.
+2 input error, 3 numerical failure.  Every command pins numpy's OpenBLAS to one
+thread, so for the same inputs, seed and flags the output bytes depend on
+neither the number of usable CPUs nor the number of BLAS threads.
 
-Each command computes all its images first, then writes every frame's CSV
-and PGM in one pass, on one forked worker process per usable CPU (in this
-process when only one CPU is usable, there is a single frame, or ``fork`` is
-unavailable).
+``spectrum`` and ``pipeline`` compute the image of every snapshot window on
+every usable CPU, this process and one forked worker per further CPU (in this
+process alone when OpenBLAS cannot be pinned, only one CPU is usable, or
+``fork`` is unavailable).  Each command computes all its images first, then
+writes every frame's CSV and PGM in one pass, shared the same way among the
+usable CPUs.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
 import logging
-import math
-import multiprocessing
 import os
+import pickle
+import signal
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
+import traceback
 from dataclasses import replace
 from pathlib import Path
 
@@ -188,20 +190,92 @@ def _write_frame(spec: music.Spectrum2D, stem: Path) -> None:
     export.write_pgm(spec, stem.parent / f"{stem.name}.pgm")
 
 
-def _writer_processes(n_frames: int) -> int:
-    """Worker processes for writing ``n_frames`` frames; 0 means this process.
-
-    One per usable CPU, at most one per frame.  Workers are forked so that they
-    inherit the loaded program and the CSV tables instead of importing and
-    rebuilding them; without ``fork``, or with nothing to run alongside, frames
-    are written in this process.
-    """
-    if "fork" not in multiprocessing.get_all_start_methods():
-        return 0
+def _processes(n_items: int) -> int:
+    """Processes to share ``n_items`` items among: one per usable CPU, at most
+    one per item, and 1 (this process alone) without ``fork``."""
+    if not hasattr(os, "fork"):
+        return 1
     usable = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
               else os.cpu_count() or 1)
-    n = min(usable, n_frames)
-    return n if n > 1 else 0
+    return max(1, min(usable, n_items))
+
+
+class _WorkerTraceback(Exception):
+    """The formatted traceback of an exception raised in a worker process."""
+
+
+def _run_share(fn, share: list) -> tuple[list, Exception | None]:
+    """``fn`` of each item in order, up to the first exception, which is returned."""
+    results = []
+    try:
+        for item in share:
+            results.append(fn(item))
+    except Exception as exc:
+        return results, exc
+    return results, None
+
+
+def _receive(pipe):
+    """A worker's ``(results, exception, traceback)``; None if it sent none."""
+    try:
+        return pickle.load(pipe)
+    except (EOFError, pickle.UnpicklingError):
+        return None
+
+
+def _fork_map(fn, items: list, processes: int) -> list:
+    """``[fn(item) for item in items]``, shared among ``processes`` processes.
+
+    This process takes ``items[0::processes]`` and forked worker ``k`` takes
+    ``items[k::processes]``.  Workers inherit ``fn`` and the items, so only
+    their results are pickled, back through a pipe.  A share stops at its first
+    exception; the one raised is that of the lowest-numbered item that failed,
+    as in a serial loop, with a worker's traceback as its cause.  A worker is
+    a copy of this process without its other threads, so call this only while
+    no other thread computes.
+    """
+    pids, pipes, received, statuses = [], [], [], []
+    try:
+        for k in range(1, processes):
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:  # the worker: never returns into the caller
+                status = 1
+                try:
+                    results, exc = _run_share(fn, items[k::processes])
+                    tb = "".join(traceback.format_exception(exc)) if exc else None
+                    with open(write_fd, "wb") as pipe:
+                        pickle.dump((results, exc, tb), pipe)
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(write_fd)
+            pids.append(pid)
+            pipes.append(open(read_fd, "rb"))
+        outcomes = [(*_run_share(fn, items[0::processes]), None)]
+        received = [_receive(pipe) for pipe in pipes]
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        for pid in pids:
+            if len(received) < len(pids):  # interrupted before every worker sent
+                os.kill(pid, signal.SIGKILL)
+            statuses.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+    for pid, outcome, status in zip(pids, received, statuses):
+        if outcome is None or status != 0:
+            raise ChildProcessError(f"worker process {pid} exited with status {status}")
+        outcomes.append(outcome)
+    failed = [(k + processes * len(results), exc, tb)
+              for k, (results, exc, tb) in enumerate(outcomes) if exc is not None]
+    if failed:
+        _, exc, tb = min(failed, key=lambda f: f[0])
+        if tb:
+            raise exc from _WorkerTraceback(tb)
+        raise exc
+    out = [None] * len(items)
+    for k, (results, _, _) in enumerate(outcomes):
+        out[k::processes] = results
+    return out
 
 
 def _numbered(frames: list[music.Spectrum2D], outdir: Path,
@@ -212,29 +286,19 @@ def _numbered(frames: list[music.Spectrum2D], outdir: Path,
 def _write_frames(frames: list[tuple[music.Spectrum2D, Path]]) -> None:
     """Write each ``(frame, stem)`` with :func:`_write_frame` and log the time taken.
 
-    The frames are shared among :func:`_writer_processes` forked workers.  Call
-    this once, after the last image is computed: writer processes running
-    beside the scan's BLAS threads oversubscribe the cores and slow both.  The
-    pool forks before any of its own threads start, and the workers call no
-    BLAS.  Results are read in order, so the first worker exception (an
-    ``OSError`` naming the file) is raised here.
+    The frames are shared by :func:`_fork_map` among :func:`_processes`
+    processes, which call no BLAS.  Call this once, after the last image is
+    computed, so that no command writes part of its frames and then fails.
+    The first exception (an ``OSError`` naming the file) is raised here.
     """
     started = time.perf_counter()
     for outdir in dict.fromkeys(stem.parent for _, stem in frames):
         outdir.mkdir(parents=True, exist_ok=True)
-    processes = _writer_processes(len(frames))
-    if processes:
-        export._csv_tables()  # built before the fork, so every worker inherits them
-        with ProcessPoolExecutor(
-                processes, mp_context=multiprocessing.get_context("fork")) as pool:
-            for _ in pool.map(_write_frame, *zip(*frames)):
-                pass
-    else:
-        for spec, stem in frames:
-            _write_frame(spec, stem)
-    logger.info("wrote %d frames %s in %.3f s", len(frames),
-                f"with {processes} worker processes" if processes else "in-process",
-                time.perf_counter() - started)
+    processes = _processes(len(frames))
+    export._csv_tables()  # built before the fork, so every worker inherits them
+    _fork_map(lambda frame: _write_frame(*frame), frames, processes)
+    logger.info("wrote %d frames in %.3f s, processes: %d", len(frames),
+                time.perf_counter() - started, processes)
 
 
 def _read_track(indir: Path, frame_rate_hz: float) -> imaging.SpectrumTrack:
@@ -260,12 +324,18 @@ def _compute_spectra(stream: CsiStream, args,
                          f"{window_len}-packet window")
     sources = getattr(args, "sources", None)
     reduce = getattr(args, "reduce", "sum")
-    track = []
-    for w in wins:
+
+    def image(w: music.SnapshotWindow) -> np.ndarray:
         sub = music.noise_subspace_from_window(w, s_hat=sources)
-        track.append(music.spectrum(sub, grids, stream.config, stream.geometry,
-                                    reduce=reduce, timestamp_ns=w.timestamp_ns))
-    return track
+        return music.spectrum(sub, grids, stream.config, stream.geometry,
+                              reduce=reduce).grid
+
+    started = time.perf_counter()
+    processes = _processes(len(wins)) if args.one_blas_thread else 1
+    images = _fork_map(image, wins, processes)
+    logger.info("imaged %d windows in %.3f s, processes: %d", len(wins),
+                time.perf_counter() - started, processes)
+    return [music.Spectrum2D(g, w.timestamp_ns) for g, w in zip(images, wins)]
 
 
 def _cmd_simulate(args) -> int:
@@ -372,7 +442,35 @@ def _fail(code: int, kind: str, exc: Exception) -> int:
     return code
 
 
+def _pin_blas_to_one_thread() -> bool:
+    """Set the OpenBLAS libraries in this process, numpy's among them, to one
+    thread; False if none exposes the call.
+
+    OpenBLAS splits a product differently for each thread count, which changes
+    the last bits of an image, and its threads would compete with the imaging
+    workers for the same CPUs.
+    """
+    try:
+        with open("/proc/self/maps", encoding="ascii", errors="replace") as maps:
+            paths = {line.split()[-1] for line in maps
+                     if "openblas" in line.rsplit("/", 1)[-1]}
+        libraries = [ctypes.CDLL(path) for path in sorted(paths)]
+    except OSError:  # no /proc, or a library that cannot be opened again
+        return False
+    pinned = False
+    for lib in libraries:
+        for name in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads"):
+            set_threads = getattr(lib, name, None)
+            if set_threads is not None:
+                set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+                set_threads(1)
+                pinned = True
+                break
+    return pinned
+
+
 def main(argv=None) -> int:
+    """Run one command; BLAS stays pinned to one thread for the rest of the process."""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -381,6 +479,10 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     logging.basicConfig(level=logging.INFO if args.verbose else logging.WARNING,
                         format="%(levelname)s %(name)s: %(message)s")
+    args.one_blas_thread = _pin_blas_to_one_thread()
+    if not args.one_blas_thread:
+        logger.info("found no OpenBLAS to pin to one thread; images are computed "
+                    "in this process")
     try:
         return _COMMANDS[args.command](args)
     except (np.linalg.LinAlgError, FloatingPointError) as exc:

@@ -127,6 +127,10 @@ class ScenePath:
         return g
 
 
+_MAX_PACKET_RATE_HZ = 1e9
+_MAX_DURATION_S = 2.0**63 / 1e9
+
+
 @dataclass(frozen=True)
 class Scene:
     """Ground-truth scene: paths plus noise, rate, duration, and seed."""
@@ -141,8 +145,16 @@ class Scene:
         object.__setattr__(self, "paths", tuple(self.paths))
         if not self.packet_rate_hz > 0:
             raise ValueError(f"packet_rate_hz must be positive, got {self.packet_rate_hz}")
+        # packet timestamps are whole nanoseconds: they must strictly increase
+        # and the last one must fit in int64
+        if not self.packet_rate_hz <= _MAX_PACKET_RATE_HZ:
+            raise ValueError(f"packet_rate_hz must be at most {_MAX_PACKET_RATE_HZ:g}, so "
+                             f"that nanosecond timestamps increase, got {self.packet_rate_hz}")
         if not self.duration_s > 0:
             raise ValueError(f"duration_s must be positive, got {self.duration_s}")
+        if not self.duration_s < _MAX_DURATION_S:
+            raise ValueError(f"duration_s must be below {_MAX_DURATION_S:.4g}, so that "
+                             f"nanosecond timestamps fit in int64, got {self.duration_s}")
         n_los = sum(1 for p in self.paths if p.tag == "los")
         if n_los > 1:
             raise ValueError(f"a scene may contain at most one los path, got {n_los}")
@@ -211,8 +223,6 @@ def simulate(scene: Scene, cfg: ChannelConfig, geom: ArrayGeometry) -> CsiStream
         raise DegenerateSceneError("scene has no paths; nothing to render")
     t = packet_times(scene)
     ts_ns = np.round(t * 1e9).astype(np.int64)
-    if len(np.unique(ts_ns)) != len(ts_ns):
-        raise ValueError("packet rate too high for ns timestamps")
 
     children = np.random.SeedSequence(scene.rng_seed).spawn(len(scene.paths) + 1)
     n = scene.n_packets

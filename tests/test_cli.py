@@ -1,5 +1,6 @@
 import logging
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -117,17 +118,18 @@ def non_finite_csif(scene_file, tmp_path):
     return path
 
 
-def run_python(*args):
-    """Run a fresh interpreter that imports wivision from this source tree."""
+def run_python(*args, **environ):
+    """Run a fresh interpreter that imports wivision from this source tree,
+    with ``environ`` added to the environment."""
     src = Path(wivision.__file__).parents[1]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])), **environ)
     return subprocess.run([sys.executable, *map(str, args)],
                           capture_output=True, text=True, env=env)
 
 
-def run_subprocess(*args):
-    return run_python("-m", "wivision.cli", *args)
+def run_subprocess(*args, **environ):
+    return run_python("-m", "wivision.cli", *args, **environ)
 
 
 def test_import_loads_no_scipy():
@@ -213,11 +215,21 @@ class TestErrorReports:
         ("[persona:alice]\nelevation_span_deg = 10\nazimuth_span_deg = 10\n"
          "gait_period_s = inf\n", "[persona:alice] ", "gait_period_s must be finite, got inf"),
         ("[geometry]\nrx_0_m = inf,0,0\n", "[geometry] ", "rx positions must be finite"),
+        ("[simulation]\npacket_rate_hz = 1e300\n", "[simulation] ",
+         "packet_rate_hz must be at most 1e+09, so that nanosecond timestamps "
+         "increase, got 1e+300"),
+        ("[simulation]\npacket_rate_hz = 2e9\n", "[simulation] ",
+         "packet_rate_hz must be at most 1e+09, so that nanosecond timestamps "
+         "increase, got 2000000000.0"),
+        ("[simulation]\nduration_s = 1e10\n", "[simulation] ",
+         "duration_s must be below 9.223e+09, so that nanosecond timestamps fit in "
+         "int64, got 10000000000.0"),
     ], ids=["rx_row", "duration", "carrier", "n_tx", "n_tx_inf", "persona_azimuth",
             "two_los", "gate_period", "path_gain_overflow", "path_gain_inf",
             "path_gain_nan", "persona_gain_overflow", "head_gated", "packet_rate_inf",
             "duration_inf", "snr_nan", "tof_inf", "phase_inf", "gate_period_inf",
-            "gait_period_inf", "rx_row_inf"])
+            "gait_period_inf", "rx_row_inf", "packet_rate_1e300", "packet_rate_2e9",
+            "duration_1e10"])
     def test_bad_scene_names_file_and_section(self, tmp_path, capsys, text, where,
                                               reason):
         path = tmp_path / "scene.ini"
@@ -428,35 +440,94 @@ def tree(root):
 
 
 class TestFrameWriter:
-    def test_writer_processes(self, monkeypatch):
+    def test_processes(self, monkeypatch):
         usable_cpus(monkeypatch, 4)
-        assert [cli._writer_processes(n) for n in (0, 1, 2, 3, 10)] == [0, 0, 2, 3, 4]
+        assert [cli._processes(n) for n in (0, 1, 2, 3, 10)] == [1, 1, 2, 3, 4]
         usable_cpus(monkeypatch, 1)
-        assert cli._writer_processes(10) == 0
+        assert cli._processes(10) == 1
 
-    @pytest.mark.parametrize("command", ["pipeline", "spectrum", "enhance"])
+    @pytest.mark.parametrize("processes", [1, 2, 3])
+    def test_fork_map_order_and_first_failure(self, processes):
+        items = list(range(7))
+        assert cli._fork_map(lambda x: x * x, items, processes) == [x * x for x in items]
+
+        def fail_from_3(x):
+            if x >= 3:
+                raise ValueError(f"item {x}")
+            return x
+
+        # item 3 is this process's at 1 and 3 processes and a worker's at 2
+        with pytest.raises(ValueError, match="^item 3$") as failure:
+            cli._fork_map(fail_from_3, items, processes)
+        if processes == 2:
+            assert isinstance(failure.value.__cause__, cli._WorkerTraceback)
+            assert "in fail_from_3" in str(failure.value.__cause__)
+        if processes > 1:
+            # a worker that dies without returning its results
+            with pytest.raises(ChildProcessError, match="exited with status 3"):
+                cli._fork_map(lambda x: os._exit(3) if x == 1 else x, items, processes)
+
+    @pytest.mark.parametrize("command", ["pipeline", "spectrum", "enhance",
+                                         "spectrum_no_noise"])
     def test_workers_byte_identical(self, scene_file, tmp_path, monkeypatch, caplog,
-                                    command):
+                                    capsys, command):
         stream, spectra = tmp_path / "stream.csif", tmp_path / "spectra"
         if command != "pipeline":
             assert run("simulate", "--scene", scene_file, "--out", stream) == EXIT_OK
             assert run("spectrum", "--in", stream, "--out", spectra, *SCAN) == EXIT_OK
-        # pipeline: stream.csif and 4 raw, 2 enhanced and 1 aggregate CSV/PGM pairs
-        frames, files = {"pipeline": (7, 15), "spectrum": (4, 8), "enhance": (2, 4)}[command]
+            capsys.readouterr()
+        # pipeline: stream.csif and 4 raw, 2 enhanced and 1 aggregate CSV/PGM pairs;
+        # spectrum_no_noise: every window of the 48-element array fails in imaging
+        windows, frames, files = {"pipeline": (4, 7, 15), "spectrum": (4, 4, 8),
+                                  "enhance": (0, 2, 4),
+                                  "spectrum_no_noise": (4, 0, 0)}[command]
         argv = {
             "pipeline": ("--scene", scene_file, *SCAN, "--static-window", 3, "--frames", 2),
             "spectrum": ("--in", stream, *SCAN),
             "enhance": ("--in", spectra, "--static-window", 3),
+            "spectrum_no_noise": ("--in", stream, *SCAN, "--sources", 48),
         }[command]
+        err = ("wivision: input error: s_hat=48 leaves no noise subspace (dim 48)\n"
+               if frames == 0 else "")
         caplog.set_level(logging.INFO, logger="wivision")
+        # imaging is shared among processes only while OpenBLAS runs one thread
+        pinned = cli._pin_blas_to_one_thread()
         trees = []
-        for cpus, how in ((1, "in-process"), (2, "with 2 worker processes")):
+        for cpus, pin in ((1, pinned), (2, pinned), (2, False)):
             usable_cpus(monkeypatch, cpus)
-            out = tmp_path / f"cpus{cpus}"
-            assert run("-v", command, *argv, "--out", out) == EXIT_OK
-            assert f"wrote {frames} frames {how}" in caplog.text
+            monkeypatch.setattr(cli, "_pin_blas_to_one_thread", lambda: pin)
+            caplog.clear()
+            out = tmp_path / f"cpus{cpus}-{pin}"
+            assert run("-v", command.split("_")[0], *argv, "--out", out) == (
+                EXIT_OK if frames else EXIT_INPUT)
+            assert capsys.readouterr().err == err
+            logged = re.sub(r"in [0-9.]+ s", "in - s", caplog.text)
+            if frames:
+                assert f"wrote {frames} frames in - s, processes: {cpus}\n" in logged
+            if windows and frames:
+                assert (f"imaged {windows} windows in - s, "
+                        f"processes: {cpus if pin else 1}\n") in logged
+            assert ("found no OpenBLAS to pin" in logged) == (not pin)
+            trees.append(tree(out) if out.exists() else None)
+        assert len(trees[0] or ()) == files
+        assert trees[0] == trees[1] == trees[2]
+
+    def test_blas_threads_byte_identical(self, tmp_path):
+        # OpenBLAS reads OPENBLAS_NUM_THREADS when it loads, so each count needs
+        # its own process; the default 810-element array makes the Gram product
+        # of a window large enough for OpenBLAS to split it among threads
+        scene = tmp_path / "scene.ini"
+        scene.write_text("[simulation]" + SCENE.split("[simulation]")[1]
+                         .replace("duration_s = 0.4", "duration_s = 0.3"))
+        trees = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            done = run_subprocess("pipeline", "--scene", scene, "--out", out, *SCAN,
+                                  "--static-window", 2, "--frames", 2,
+                                  OPENBLAS_NUM_THREADS=threads)
+            assert (done.returncode, done.stderr) == (EXIT_OK, "")
             trees.append(tree(out))
-        assert len(trees[0]) == files
+        assert len(trees[0]) == 13
         assert trees[0] == trees[1]
 
     @pytest.mark.parametrize("cpus", [1, 2])

@@ -115,9 +115,14 @@ class ArrayGeometry:
         return cls(np.array(xs + zs), n_tx=n_tx, n_subcarriers=n_subcarriers)
 
 
-def default_geometry(cfg: ChannelConfig, n_tx: int = 3, n_subcarriers: int = 30) -> ArrayGeometry:
-    """Nine-element L-shaped array at half-wavelength spacing (5 + 5 sharing a corner)."""
-    return ArrayGeometry.l_shaped(cfg.wavelength_m / 2.0, n_tx=n_tx, n_subcarriers=n_subcarriers)
+def default_geometry(cfg: ChannelConfig, *, n_rx: int = 9, n_tx: int = 3,
+                     n_subcarriers: int = 30) -> ArrayGeometry:
+    """L-shaped array of ``n_rx`` elements at half-wavelength spacing: two arms
+    sharing a corner, the X arm one longer if ``n_rx`` is even (nine are 5 + 5)."""
+    arm_x = (n_rx + 2) // 2
+    return ArrayGeometry.l_shaped(cfg.wavelength_m / 2.0, arm_x=arm_x,
+                                  arm_z=n_rx + 1 - arm_x, n_tx=n_tx,
+                                  n_subcarriers=n_subcarriers)
 
 
 @dataclass(frozen=True)

@@ -63,44 +63,58 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="wivision",
                      description="WiFi CSI angle-of-arrival imaging pipeline")
     parser.add_argument("--seed", type=int, default=None,
-                        help="override the scene seed / offset-injection seed")
+                        help="override the scene seed; injected offsets are drawn "
+                             "from that seed + 1")
     parser.add_argument("--config", type=Path, default=None,
-                        help="scene-format file supplying channel/geometry overrides")
+                        help="scene-format file supplying a geometry override")
     parser.add_argument("-v", "--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("simulate", help="render a scene file to a CSIF stream")
+    # flags that ``pipeline`` shares with a stage command, declared once each
+    offsets = argparse.ArgumentParser(add_help=False)
+    offsets.add_argument("--inject-offsets", action="store_true",
+                         help="apply per-packet STO/PDD phase errors")
+    scan = argparse.ArgumentParser(add_help=False)
+    scan.add_argument("--window", type=int, default=music.DEFAULT_WINDOW_LEN)
+    scan.add_argument("--stride", type=int, default=music.DEFAULT_STRIDE)
+    scan.add_argument("--no-sanitize", action="store_true")
+    scan.add_argument("--tau-grid-ns", type=_grid_type("tof_grid_s", 1e-9),
+                      help="comma list or start:stop:step, nanoseconds")
+    scan.add_argument("--aod-grid-deg", type=_grid_type("aod_grid_deg", 1.0),
+                      help="comma list or start:stop:step, degrees")
+    enhance = argparse.ArgumentParser(add_help=False)
+    enhance.add_argument("--static-window", type=int,
+                         default=imaging.DEFAULT_STATIC_WINDOW)
+    enhance.add_argument("--floor-db", type=float, default=imaging.DEFAULT_FLOOR_DB)
+    enhance.add_argument("--static-mode", choices=("rolling", "global"),
+                         default="rolling")
+    aggregate = argparse.ArgumentParser(add_help=False)
+    aggregate.add_argument("--frames", type=int,
+                           default=imaging.DEFAULT_AGGREGATE_FRAMES)
+
+    p = sub.add_parser("simulate", parents=[offsets],
+                       help="render a scene file to a CSIF stream")
     p.add_argument("--scene", type=Path, required=True)
     p.add_argument("--out", type=Path, required=True)
-    p.add_argument("--inject-offsets", action="store_true",
-                   help="apply per-packet STO/PDD phase errors")
 
-    p = sub.add_parser("spectrum", help="CSIF stream to per-window angle images")
+    p = sub.add_parser("spectrum", parents=[scan],
+                       help="CSIF stream to per-window angle images")
     p.add_argument("--in", dest="infile", type=Path, required=True)
     p.add_argument("--out", type=Path, required=True, help="output directory")
-    p.add_argument("--window", type=int, default=music.DEFAULT_WINDOW_LEN)
-    p.add_argument("--stride", type=int, default=music.DEFAULT_STRIDE)
-    p.add_argument("--no-sanitize", action="store_true")
     p.add_argument("--degraded", action="store_true",
                    help="1 packet / 1 tx / 1 subcarrier configuration")
     p.add_argument("--sources", type=int, default=None,
                    help="fix the source count instead of estimating it")
-    p.add_argument("--tau-grid-ns", type=_grid_type("tof_grid_s", 1e-9),
-                   help="comma list or start:stop:step, nanoseconds")
-    p.add_argument("--aod-grid-deg", type=_grid_type("aod_grid_deg", 1.0),
-                   help="comma list or start:stop:step, degrees")
     p.add_argument("--reduce", choices=("sum", "max"), default="sum")
 
-    p = sub.add_parser("enhance", help="subtract static background from spectra")
+    p = sub.add_parser("enhance", parents=[enhance],
+                       help="subtract static background from spectra")
     p.add_argument("--in", dest="indir", type=Path, required=True)
     p.add_argument("--out", type=Path, required=True)
-    p.add_argument("--static-window", type=int, default=imaging.DEFAULT_STATIC_WINDOW)
-    p.add_argument("--floor-db", type=float, default=imaging.DEFAULT_FLOOR_DB)
-    p.add_argument("--static-mode", choices=("rolling", "global"), default="rolling")
 
-    p = sub.add_parser("aggregate", help="max-combine the most recent enhanced frames")
+    p = sub.add_parser("aggregate", parents=[aggregate],
+                       help="max-combine the most recent enhanced frames")
     p.add_argument("--in", dest="indir", type=Path, required=True)
-    p.add_argument("--frames", type=int, default=imaging.DEFAULT_AGGREGATE_FRAMES)
     p.add_argument("--out", type=Path, required=True,
                    help="output file (.pgm for an image, otherwise CSV)")
 
@@ -112,19 +126,10 @@ def _build_parser() -> _Parser:
     p.add_argument("--cmc", type=Path, required=True, help="output CMC CSV")
     p.add_argument("--frame-rate", type=float, default=imaging.DEFAULT_FRAME_RATE_HZ)
 
-    p = sub.add_parser("pipeline", help="scene file through every stage")
+    p = sub.add_parser("pipeline", parents=[offsets, scan, enhance, aggregate],
+                       help="scene file through every stage")
     p.add_argument("--scene", type=Path, required=True)
     p.add_argument("--out", type=Path, required=True, help="output directory")
-    p.add_argument("--inject-offsets", action="store_true")
-    p.add_argument("--no-sanitize", action="store_true")
-    p.add_argument("--window", type=int, default=music.DEFAULT_WINDOW_LEN)
-    p.add_argument("--stride", type=int, default=music.DEFAULT_STRIDE)
-    p.add_argument("--static-window", type=int, default=imaging.DEFAULT_STATIC_WINDOW)
-    p.add_argument("--floor-db", type=float, default=imaging.DEFAULT_FLOOR_DB)
-    p.add_argument("--frames", type=int, default=imaging.DEFAULT_AGGREGATE_FRAMES)
-    p.add_argument("--static-mode", choices=("rolling", "global"), default="rolling")
-    p.add_argument("--tau-grid-ns", type=_grid_type("tof_grid_s", 1e-9))
-    p.add_argument("--aod-grid-deg", type=_grid_type("aod_grid_deg", 1.0))
     return parser
 
 
@@ -179,8 +184,7 @@ def _override_geometry(args):
 def _simulate_stream(args, bundle: scenefile.SceneBundle) -> CsiStream:
     stream = run_simulation(bundle.scene, bundle.config, bundle.geometry)
     if args.inject_offsets:
-        seed = args.seed if args.seed is not None else bundle.scene.rng_seed + 1
-        stream = inject_phase_offsets(stream, seed)
+        stream = inject_phase_offsets(stream, bundle.scene.rng_seed + 1)
     return stream
 
 
@@ -319,9 +323,6 @@ def _compute_spectra(stream: CsiStream, args,
     if not getattr(args, "no_sanitize", False) and stream.geometry.n_subcarriers >= 2:
         stream = sanitize_stream(stream)
     wins = music.windows(stream, window_len=window_len, stride=args.stride)
-    if not wins:
-        raise ValueError(f"stream of {len(stream)} packets is shorter than one "
-                         f"{window_len}-packet window")
     sources = getattr(args, "sources", None)
     reduce = getattr(args, "reduce", "sum")
 

@@ -28,7 +28,7 @@ import struct
 
 import numpy as np
 
-from .arraymodel import ArrayGeometry, ChannelConfig
+from .arraymodel import ArrayGeometry, ChannelConfig, default_geometry
 from .simulate import CsiStream
 
 MAGIC = b"CSIF"
@@ -117,7 +117,7 @@ def read_csif(path, geometry: ArrayGeometry | None = None) -> CsiStream:
 
     cfg = ChannelConfig(carrier_hz=carrier_hz, subcarrier_spacing_hz=spacing_hz)
     if geometry is None:
-        geometry = _default_layout(cfg, n_rx, n_tx, n_su)
+        geometry = default_geometry(cfg, n_rx=n_rx, n_tx=n_tx, n_subcarriers=n_su)
     expected = (geometry.n_rx, geometry.n_tx, geometry.n_subcarriers)
     if expected != (n_rx, n_tx, n_su):
         raise CsifFormatError(f"geometry {expected} does not match header "
@@ -128,11 +128,3 @@ def read_csif(path, geometry: ArrayGeometry | None = None) -> CsiStream:
                          packets["iq"].astype(complex))
     except ValueError as exc:
         raise CsifFormatError(str(exc)) from exc
-
-
-def _default_layout(cfg: ChannelConfig, n_rx: int, n_tx: int, n_su: int) -> ArrayGeometry:
-    """L-shaped half-wavelength layout with n_rx elements (x arm gets the extra one)."""
-    arm_x = (n_rx + 2) // 2
-    arm_z = n_rx + 1 - arm_x
-    return ArrayGeometry.l_shaped(cfg.wavelength_m / 2.0, arm_x=arm_x, arm_z=arm_z,
-                                  n_tx=n_tx, n_subcarriers=n_su)

@@ -28,21 +28,19 @@ array:
   ``[1 | cos(kappa lag u) | sin(kappa lag u)]`` against those per-row
   coefficients.  The tail is a gated clip (it runs only when the chunk's
   minimum falls below the floor), the reciprocal, and a reduction: ``sum`` is
-  one matrix-vector product with a ones vector, ``max`` is ``np.max``.  A full
-  image takes about 9.4 ms per window on a 2-core Xeon (s_hat 12), of which
-  the reciprocal is about 3 ms.
+  one matrix-vector product with a ones vector, ``max`` is ``np.max``.
 """
 
 from __future__ import annotations
 
 import functools
-import logging
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .arraymodel import (
     N_ANGLE_BINS,
+    SPEED_OF_LIGHT,
     ArrayGeometry,
     ChannelConfig,
     direction_vector,
@@ -50,8 +48,6 @@ from .arraymodel import (
     tx_factors,
 )
 from .simulate import CsiStream
-
-logger = logging.getLogger(__name__)
 
 DEFAULT_WINDOW_LEN = 100
 DEFAULT_STRIDE = 33
@@ -118,18 +114,18 @@ def vectorize_frames(tensors: np.ndarray) -> np.ndarray:
 
 def windows(stream: CsiStream, window_len: int = DEFAULT_WINDOW_LEN,
             stride: int = DEFAULT_STRIDE) -> list[SnapshotWindow]:
-    """Overlapping snapshot windows; empty (with a log note) if the stream is short.
+    """Overlapping snapshot windows, at least one.
 
-    Window matrices are read-only views into one vectorized copy of the stream,
-    so overlapping windows share memory.
+    A stream shorter than one window raises ``ValueError``.  Window matrices
+    are read-only views into one vectorized copy of the stream, so overlapping
+    windows share memory.
     """
     if window_len < 1 or stride < 1:
         raise ValueError("window_len and stride must be >= 1")
     n = len(stream)
     if n < window_len:
-        logger.warning("stream of %d packets is shorter than one %d-packet window; "
-                       "no windows produced", n, window_len)
-        return []
+        raise ValueError(f"stream of {n} packets is shorter than one "
+                         f"{window_len}-packet window")
     rows = vectorize_frames(stream.tensors)
     # views[start] is the (dim, window_len) matrix of packets start.. as columns
     views = np.lib.stride_tricks.sliding_window_view(rows, window_len, axis=0)
@@ -269,8 +265,7 @@ def _pair_indices(rx_positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 @functools.lru_cache(maxsize=8)
-def _lag_tables(carrier_hz: float, speed_of_light: float,
-                rx_bytes: bytes) -> tuple[np.ndarray, np.ndarray]:
+def _lag_tables(carrier_hz: float, rx_bytes: bytes) -> tuple[np.ndarray, np.ndarray]:
     """Read-only per-row table and pair selector for one carrier and rx layout.
 
     Every rx element lies in the y == 0 plane, so the pair product of elements
@@ -284,14 +279,12 @@ def _lag_tables(carrier_hz: float, speed_of_light: float,
     * ``selector[el * (n_lags + 1) + lag, p]`` is exp(-j kappa dz_p cos el)
       where pair p has that lag and 0 elsewhere, so ``selector @ forms`` sums
       each row's pair forms per lag.
-
-    ``speed_of_light`` is fixed by ``ChannelConfig`` and only keys the cache.
     """
     pos = np.frombuffer(rx_bytes).reshape(-1, 3)
     k, l = _pair_indices(pos)
     dx = pos[k, 0] - pos[l, 0]
     dz = pos[k, 2] - pos[l, 2]
-    tol = _LAG_TOL_WAVELENGTHS * speed_of_light / carrier_hz
+    tol = _LAG_TOL_WAVELENGTHS * SPEED_OF_LIGHT / carrier_hz
     lags: list[float] = []
     lag_index = np.zeros(dx.size, dtype=int)
     for p in np.argsort(dx, kind="stable"):
@@ -301,7 +294,7 @@ def _lag_tables(carrier_hz: float, speed_of_light: float,
             lags.append(float(dx[p]))
         lag_index[p] = len(lags)
 
-    kappa = 2.0 * np.pi * carrier_hz / speed_of_light
+    kappa = 2.0 * np.pi * carrier_hz / SPEED_OF_LIGHT
     angles = np.arange(1, N_ANGLE_BINS + 1, dtype=float)
     d = direction_vector(angles[None, :], angles[:, None])    # (el, az, 3)
     phase = (kappa * d[..., 0])[..., None] * np.array(lags)  # (el, az, n_lags)
@@ -361,8 +354,7 @@ def spectrum(subspace: NoiseSubspace, grids: GridSpec | None, cfg: ChannelConfig
         raise ValueError(f"subspace dimension {subspace.dim} does not match "
                          f"geometry dimension {dim}")
 
-    table, selector = _lag_tables(cfg.carrier_hz, cfg.speed_of_light,
-                                  geom.rx_positions.tobytes())
+    table, selector = _lag_tables(cfg.carrier_hz, geom.rx_positions.tobytes())
     basis = subspace.signal_basis
 
     n = N_ANGLE_BINS

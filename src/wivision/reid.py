@@ -139,8 +139,6 @@ def rank(probe: FeatureVector,
     if not gallery:
         raise ValueError("gallery must be nonempty")
     ids = [g_id for g_id, _ in gallery]
-    if len(set(ids)) != len(ids):
-        raise ValueError("gallery ids must be unique")
     feats = np.stack([fv.as_array() for _, fv in gallery])
     mean = feats.mean(axis=0)
     std = feats.std(axis=0)
@@ -189,5 +187,5 @@ def cmc(results: Sequence[RankingResult], truth: Mapping[str, str]) -> CmcCurve:
             raise ValueError(f"probe {r.probe_id!r} missing from truth map")
         true_id = truth[r.probe_id]
         if true_id in r.gallery_ids:
-            hits[r.gallery_ids.index(true_id):] += 1
+            hits[r.rank_of(true_id) - 1:] += 1
     return CmcCurve(hits / len(results))

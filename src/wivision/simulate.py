@@ -305,8 +305,8 @@ def six_reflector_scene(snr_db: float = math.inf, packet_rate_hz: float = 1000.0
 
 def six_reflector_truth() -> list[tuple[float, float]]:
     """(azimuth, elevation) ground truth of the six-reflector benchmark."""
-    return [(90.0, 90.0), (50.0, 95.0), (130.0, 85.0),
-            (70.0, 60.0), (110.0, 120.0), (90.0, 40.0)]
+    return [(p.hypothesis.azimuth_deg, p.hypothesis.elevation_deg)
+            for p in six_reflector_scene().paths]
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ from wivision import (
     ArrayGeometry,
     ChannelConfig,
     PathHypothesis,
+    default_geometry,
 )
 from wivision.arraymodel import (
     SPEED_OF_LIGHT,
@@ -51,6 +52,15 @@ class TestArrayGeometry:
         geom = ArrayGeometry.l_shaped(cfg.wavelength_m / 2.0)
         assert geom.n_rx == 9
         assert geom.dim == 9 * 3 * 30
+
+    @pytest.mark.parametrize("n_rx, arm_x, arm_z", [(1, 1, 1), (2, 2, 1), (3, 2, 2),
+                                                     (4, 3, 2), (9, 5, 5), (10, 6, 5)])
+    def test_default_geometry_splits_rx_into_arms(self, cfg, n_rx, arm_x, arm_z):
+        geom = default_geometry(cfg, n_rx=n_rx, n_tx=2, n_subcarriers=4)
+        expected = ArrayGeometry.l_shaped(cfg.wavelength_m / 2.0, arm_x=arm_x,
+                                          arm_z=arm_z, n_tx=2, n_subcarriers=4)
+        assert np.array_equal(geom.rx_positions, expected.rx_positions)
+        assert (geom.n_rx, geom.n_tx, geom.n_subcarriers) == (n_rx, 2, 4)
 
     def test_rejects_off_plane_positions(self):
         with pytest.raises(ValueError, match="y == 0"):

@@ -1,3 +1,5 @@
+import argparse
+import ast
 import logging
 import os
 import re
@@ -138,6 +140,26 @@ def test_import_loads_no_scipy():
     assert (done.returncode, done.stdout) == (0, "[]\n")
 
 
+def test_src_imports_are_used():
+    """Every name a module of the package imports is used in that module."""
+    unused = []
+    for path in sorted(Path(wivision.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound = [a.asname or a.name.split(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound = [a.asname or a.name for a in node.names]
+            else:
+                continue
+            unused += [f"{path.name}:{node.lineno}: {name}" for name in bound
+                       if name not in used]
+    assert unused == []
+
+
 def three_spectra(tmp_path):
     """A directory of three constant spectrum CSVs."""
     indir = tmp_path / "spectra"
@@ -271,6 +293,18 @@ class TestErrorReports:
         assert capsys.readouterr().err == ("wivision: input error: static estimation "
                                            "needs at least 5 frames, track has 4\n")
         assert not (out / "spectra").exists()
+
+    def test_short_capture_is_one_line(self, tmp_path):
+        scene = tmp_path / "scene.ini"
+        scene.write_text(SCENE.replace("duration_s = 0.4", "duration_s = 0.2"))
+        stream, out = tmp_path / "stream.csif", tmp_path / "o"
+        assert run("simulate", "--scene", scene, "--out", stream) == EXIT_OK
+        done = run_subprocess("spectrum", "--in", stream, "--out", out,
+                              "--window", 500)
+        assert (done.returncode, done.stderr) == (
+            EXIT_INPUT, "wivision: input error: stream of 200 packets is shorter "
+                        "than one 500-packet window\n")
+        assert not out.exists()
 
     def test_bad_carrier_header_is_2(self, tmp_path, capsys):
         path = tmp_path / "carrier.csif"
@@ -406,6 +440,17 @@ class TestPipelineCommands:
         assert a.read_bytes() != b.read_bytes()
         assert b.read_bytes() == c.read_bytes()
 
+    def test_seed_flag_matches_scene_seed(self, tmp_path):
+        # offsets are drawn from the scene seed + 1, whether --seed or the
+        # scene file sets it
+        scene = tmp_path / "scene.ini"
+        scene.write_text(SCENE.replace("seed = 9", "seed = 7"))
+        a, b = tmp_path / "a.csif", tmp_path / "b.csif"
+        assert run("simulate", "--scene", scene, "--out", a, "--inject-offsets") == EXIT_OK
+        assert run("--seed", 7, "simulate", "--scene", scene, "--out", b,
+                   "--inject-offsets") == EXIT_OK
+        assert a.read_bytes() == b.read_bytes()
+
     def test_config_geometry_override(self, scene_file, tmp_path):
         csif_path = tmp_path / "stream.csif"
         run("simulate", "--scene", scene_file, "--out", csif_path)
@@ -423,6 +468,25 @@ class TestPipelineCommands:
                        "n_subcarriers = 8\n")
         assert run("--config", bad, "spectrum", "--in", csif_path,
                    "--out", tmp_path / "x") == EXIT_INPUT
+
+
+@pytest.mark.parametrize("stage, flag", [
+    ("simulate", "--inject-offsets"),
+    ("spectrum", "--window"), ("spectrum", "--stride"), ("spectrum", "--no-sanitize"),
+    ("spectrum", "--tau-grid-ns"), ("spectrum", "--aod-grid-deg"),
+    ("enhance", "--static-window"), ("enhance", "--floor-db"),
+    ("enhance", "--static-mode"), ("aggregate", "--frames"),
+])
+def test_pipeline_flag_matches_stage(stage, flag):
+    sub = next(a for a in cli._build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+
+    def spec(command):
+        action = sub.choices[command]._option_string_actions[flag]
+        return (action.dest, action.default, action.help, action.type, action.choices,
+                action.nargs, action.const)
+
+    assert spec("pipeline") == spec(stage)
 
 
 def usable_cpus(monkeypatch, n):

@@ -100,12 +100,12 @@ class TestWindows:
         assert len(ws) == 1
         assert ws[0].matrix.shape == (small_geom.dim, 20)
 
-    def test_short_stream_yields_nothing(self, cfg, small_geom, caplog):
+    def test_short_stream_raises(self, cfg, small_geom):
         stream = make_stream(cfg, small_geom, [ScenePath(PathHypothesis(90, 90))],
                              duration=0.01)
-        with caplog.at_level("WARNING"):
-            assert windows(stream, 100, 33) == []
-        assert "shorter" in caplog.text
+        with pytest.raises(ValueError, match="^stream of 10 packets is shorter than "
+                                             "one 100-packet window$"):
+            windows(stream, 100, 33)
 
     def test_columns_are_vectorized_frames(self, cfg, small_geom):
         hyp = PathHypothesis(73, 58, 21e-9, 84)
@@ -390,8 +390,7 @@ class TestSpectrum:
         spectrum(sub, small_grids(), cfg, small_geom, reduce="max")
         info = _lag_tables.cache_info()
         assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
-        table, selector = _lag_tables(cfg.carrier_hz, cfg.speed_of_light,
-                                      small_geom.rx_positions.tobytes())
+        table, selector = _lag_tables(cfg.carrier_hz, small_geom.rx_positions.tobytes())
         # elements at x = 0, s, 0: one nonzero x-lag
         n_pairs = small_geom.n_rx * (small_geom.n_rx - 1) // 2
         assert table.shape == (180, 180, 3)
@@ -402,8 +401,7 @@ class TestSpectrum:
     def test_default_l_array_has_four_x_lags(self, cfg, full_geom):
         # x-differences of i * spacing differ in their last bits; they still
         # collapse onto the lags 1..4 spacings
-        table, selector = _lag_tables(cfg.carrier_hz, cfg.speed_of_light,
-                                      full_geom.rx_positions.tobytes())
+        table, selector = _lag_tables(cfg.carrier_hz, full_geom.rx_positions.tobytes())
         assert table.shape == (180, 180, 2 * 4 + 1)
         assert selector.shape == (180 * (4 + 1), 36)
 
@@ -417,7 +415,7 @@ class TestSpectrum:
     def test_lag_count(self, cfg, xs, n_lags):
         # x positions in wavelengths; lags agree to within 1e-12 wavelengths
         pos = np.array([[x, 0.0, 0.3 * i] for i, x in enumerate(xs)]) * cfg.wavelength_m
-        table, selector = _lag_tables(cfg.carrier_hz, cfg.speed_of_light, pos.tobytes())
+        table, selector = _lag_tables(cfg.carrier_hz, pos.tobytes())
         n_pairs = len(xs) * (len(xs) - 1) // 2
         assert table.shape == (180, 180, 2 * n_lags + 1)
         assert selector.shape == (180 * (n_lags + 1), n_pairs)

@@ -105,6 +105,10 @@ class TestRank:
         with pytest.raises(ValueError, match="nonempty"):
             rank(feature(), [])
 
+    def test_duplicate_gallery_ids_rejected(self):
+        with pytest.raises(ValueError, match="^gallery ids must be unique$"):
+            rank(feature(), [("a", feature()), ("a", feature(e=30.0))])
+
     def test_affine_rescaling_invariance(self, rng):
         feats = rng.uniform(1, 10, (6, 6))
         probe_raw = rng.uniform(1, 10, 6)

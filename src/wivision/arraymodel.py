@@ -18,7 +18,7 @@ elevation from the vertical axis, with the look direction
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,7 +48,6 @@ class ChannelConfig:
     carrier_hz: float = DEFAULT_CARRIER_HZ
     subcarrier_spacing_hz: float = DEFAULT_SUBCARRIER_SPACING_HZ
     tx_spacing_m: float | None = None
-    speed_of_light: float = field(default=SPEED_OF_LIGHT, init=False)
 
     def __post_init__(self):
         if not self.carrier_hz > 0:
@@ -64,7 +63,7 @@ class ChannelConfig:
 
     @property
     def wavelength_m(self) -> float:
-        return self.speed_of_light / self.carrier_hz
+        return SPEED_OF_LIGHT / self.carrier_hz
 
 
 @dataclass(frozen=True)
@@ -162,13 +161,13 @@ def rx_factors(cfg: ChannelConfig, geom: ArrayGeometry, azimuth_deg, elevation_d
     """Per-rx-antenna phase factors, shape (..., n_rx)."""
     d = direction_vector(azimuth_deg, elevation_deg)
     proj = d @ geom.rx_positions.T
-    return np.exp((-2j * np.pi * cfg.carrier_hz / cfg.speed_of_light) * proj)
+    return np.exp((-2j * np.pi * cfg.carrier_hz / SPEED_OF_LIGHT) * proj)
 
 
 def tx_factors(cfg: ChannelConfig, n_tx: int, aod_deg) -> np.ndarray:
     """Per-tx-antenna phase factors Gamma(aod)**m, shape (..., n_tx)."""
     aod = np.deg2rad(np.asarray(aod_deg, dtype=float))
-    step = (-2.0 * np.pi * cfg.carrier_hz * cfg.tx_spacing_m / cfg.speed_of_light) * np.sin(aod)
+    step = (-2.0 * np.pi * cfg.carrier_hz * cfg.tx_spacing_m / SPEED_OF_LIGHT) * np.sin(aod)
     return np.exp(1j * step[..., None] * np.arange(n_tx))
 
 

@@ -65,8 +65,6 @@ def _build_parser() -> _Parser:
     parser.add_argument("--seed", type=int, default=None,
                         help="override the scene seed; injected offsets are drawn "
                              "from that seed + 1")
-    parser.add_argument("--config", type=Path, default=None,
-                        help="scene-format file supplying a geometry override")
     parser.add_argument("-v", "--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -105,7 +103,9 @@ def _build_parser() -> _Parser:
                    help="1 packet / 1 tx / 1 subcarrier configuration")
     p.add_argument("--sources", type=int, default=None,
                    help="fix the source count instead of estimating it")
-    p.add_argument("--reduce", choices=("sum", "max"), default="sum")
+    p.add_argument("--config", type=Path, default=None,
+                   help="geometry file: a [geometry] section giving the capture's "
+                        "antenna layout")
 
     p = sub.add_parser("enhance", parents=[enhance],
                        help="subtract static background from spectra")
@@ -173,12 +173,6 @@ def _load_bundle(args) -> scenefile.SceneBundle:
     if args.seed is not None:
         bundle = replace(bundle, scene=replace(bundle.scene, rng_seed=args.seed))
     return bundle
-
-
-def _override_geometry(args):
-    if args.config is None:
-        return None
-    return scenefile.load_scene(args.config, require_paths=False).geometry
 
 
 def _simulate_stream(args, bundle: scenefile.SceneBundle) -> CsiStream:
@@ -324,12 +318,10 @@ def _compute_spectra(stream: CsiStream, args,
         stream = sanitize_stream(stream)
     wins = music.windows(stream, window_len=window_len, stride=args.stride)
     sources = getattr(args, "sources", None)
-    reduce = getattr(args, "reduce", "sum")
 
     def image(w: music.SnapshotWindow) -> np.ndarray:
         sub = music.noise_subspace_from_window(w, s_hat=sources)
-        return music.spectrum(sub, grids, stream.config, stream.geometry,
-                              reduce=reduce).grid
+        return music.spectrum(sub, grids, stream.config, stream.geometry).grid
 
     started = time.perf_counter()
     processes = _processes(len(wins)) if args.one_blas_thread else 1
@@ -348,7 +340,15 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    stream = csif.read_csif(args.infile, geometry=_override_geometry(args))
+    stream = csif.read_csif(args.infile)
+    if args.config is not None:
+        geometry = scenefile.load_geometry(args.config, stream.config)
+        shape = (geometry.n_rx, geometry.n_tx, geometry.n_subcarriers)
+        if shape != stream.tensors.shape[1:]:
+            raise scenefile.SceneFileError(
+                f"{args.config}: geometry (rx, tx, subcarriers) {shape} does not "
+                f"match the capture's {stream.tensors.shape[1:]}")
+        stream = replace(stream, geometry=geometry)
     track = _compute_spectra(stream, args, _grids_from_args(args))
     _write_frames(_numbered(track, args.out, "spectrum"))
     logger.info("wrote %d spectrum frames to %s", len(track), args.out)

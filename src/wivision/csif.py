@@ -16,9 +16,9 @@ in nanoseconds and ``n_rx * n_tx * n_su`` little-endian complex64 values
 (real then imaginary float32; index order rx-major, then tx, then subcarrier).
 The reader and the writer share that one record layout.
 
-The format carries dimensions but not antenna positions or tx spacing; readers
-reconstruct the default L-shaped half-wavelength layout unless an explicit
-geometry is supplied.
+The format carries dimensions but not antenna positions or tx spacing; the
+reader reconstructs the default L-shaped half-wavelength layout, and a caller
+with another layout swaps it in with ``dataclasses.replace``.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import struct
 
 import numpy as np
 
-from .arraymodel import ArrayGeometry, ChannelConfig, default_geometry
+from .arraymodel import ChannelConfig, default_geometry
 from .simulate import CsiStream
 
 MAGIC = b"CSIF"
@@ -79,12 +79,11 @@ def write_csif(stream: CsiStream, path) -> None:
         fh.write(packets)
 
 
-def read_csif(path, geometry: ArrayGeometry | None = None) -> CsiStream:
-    """Parse a CSIF file back into a stream.
+def read_csif(path) -> CsiStream:
+    """Parse a CSIF file back into a stream on the default layout of its header.
 
-    ``geometry`` overrides the synthesized default layout; its dimensions must
-    match the header.  A bad timestamp or a non-finite value raises
-    :class:`CsifFormatError` naming the first packet at fault.
+    A bad timestamp or a non-finite value raises :class:`CsifFormatError`
+    naming the first packet at fault.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -116,12 +115,7 @@ def read_csif(path, geometry: ArrayGeometry | None = None) -> CsiStream:
                               f"holds {complete}; bad packet index {min(complete, n_packets)}")
 
     cfg = ChannelConfig(carrier_hz=carrier_hz, subcarrier_spacing_hz=spacing_hz)
-    if geometry is None:
-        geometry = default_geometry(cfg, n_rx=n_rx, n_tx=n_tx, n_subcarriers=n_su)
-    expected = (geometry.n_rx, geometry.n_tx, geometry.n_subcarriers)
-    if expected != (n_rx, n_tx, n_su):
-        raise CsifFormatError(f"geometry {expected} does not match header "
-                              f"{(n_rx, n_tx, n_su)}")
+    geometry = default_geometry(cfg, n_rx=n_rx, n_tx=n_tx, n_subcarriers=n_su)
     packets = np.frombuffer(raw, dtype=record, offset=_HEADER.size)
     try:
         return CsiStream(cfg, geometry, packets["ts"].astype(np.int64),

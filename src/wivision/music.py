@@ -5,7 +5,7 @@ subspace split by the method of snapshots, and a spatial-spectrum scan
 
     P(az, el, tof, aod) = 1 / (a^H E_N E_N^H a)
 
-reduced over the (tof, aod) grid to a 180 x 180 angle image.
+summed over the (tof, aod) grid to a 180 x 180 angle image.
 
 Three implementation notes that matter for speed on the 810-element virtual
 array:
@@ -27,8 +27,8 @@ array:
   are then one batched real product of a cached per-row table
   ``[1 | cos(kappa lag u) | sin(kappa lag u)]`` against those per-row
   coefficients.  The tail is a gated clip (it runs only when the chunk's
-  minimum falls below the floor), the reciprocal, and a reduction: ``sum`` is
-  one matrix-vector product with a ones vector, ``max`` is ``np.max``.
+  minimum falls below the floor), the reciprocal, and the sum over the grid,
+  one matrix-vector product with a ones vector.
 """
 
 from __future__ import annotations
@@ -134,38 +134,23 @@ def windows(stream: CsiStream, window_len: int = DEFAULT_WINDOW_LEN,
             for start in range(0, n - window_len + 1, stride)]
 
 
-def estimate_source_count(eigenvalues: np.ndarray, *, method: str = "threshold",
-                          n_snapshots: int | None = None) -> int:
-    """Estimate the number of sources from descending covariance eigenvalues.
+def estimate_source_count(eigenvalues: np.ndarray) -> int:
+    """Estimate the number of sources from covariance eigenvalues.
 
-    ``threshold`` counts eigenvalues above ten times a noise-floor estimate
-    (median of the lower half of the spectrum, guarded by a relative floor so
-    noiseless data does not divide by zero).  ``mdl`` is the classic
-    minimum-description-length criterion and needs ``n_snapshots``.
+    Counts eigenvalues above ten times a noise-floor estimate (median of the
+    lower half of the spectrum, guarded by a relative floor so noiseless data
+    does not divide by zero), kept at least 1 and below the number of
+    eigenvalues.
     """
     lam = np.sort(np.asarray(eigenvalues, dtype=float))[::-1]
     lam = np.clip(lam, 0.0, None)
     m = lam.size
     if m < 2:
         return 1
-    if method == "threshold":
-        floor = max(float(np.median(lam[m // 2:])), lam[0] * _EIGENVALUE_FLOOR_REL,
-                    np.finfo(float).tiny)
-        count = int(np.sum(lam > _THRESHOLD_FACTOR * floor))
-        return min(max(count, 1), m - 1)
-    if method == "mdl":
-        if n_snapshots is None:
-            raise ValueError("mdl source-count estimation requires n_snapshots")
-        lam = np.clip(lam, lam[0] * 1e-12 + np.finfo(float).tiny, None)
-        n = n_snapshots
-        scores = np.empty(m)
-        for k in range(m):
-            tail = lam[k:]
-            log_gm = float(np.mean(np.log(tail)))
-            log_am = float(np.log(np.mean(tail)))
-            scores[k] = -n * (m - k) * (log_gm - log_am) + 0.5 * k * (2 * m - k) * np.log(n)
-        return min(max(int(np.argmin(scores)), 1), m - 1)
-    raise ValueError(f"unknown source-count method {method!r}")
+    floor = max(float(np.median(lam[m // 2:])), lam[0] * _EIGENVALUE_FLOOR_REL,
+                np.finfo(float).tiny)
+    count = int(np.sum(lam > _THRESHOLD_FACTOR * floor))
+    return min(max(count, 1), m - 1)
 
 
 class NoiseSubspace:
@@ -215,7 +200,7 @@ def noise_subspace_from_window(window: SnapshotWindow,
     gram_vec = gram_vec[:, ::-1]
     lam = np.clip(gram_lam, 0.0, None) / n
     if s_hat is None:
-        s_hat = estimate_source_count(lam, n_snapshots=n)
+        s_hat = estimate_source_count(lam)
     if s_hat >= dim:
         raise ValueError(f"s_hat={s_hat} leaves no noise subspace (dim {dim})")
     if s_hat < 0:
@@ -336,19 +321,15 @@ def _basis_pair_forms(basis: np.ndarray, cfg: ChannelConfig, geom: ArrayGeometry
 
 
 def spectrum(subspace: NoiseSubspace, grids: GridSpec | None, cfg: ChannelConfig,
-             geom: ArrayGeometry, *, reduce: str = "sum",
-             timestamp_ns: int = 0) -> Spectrum2D:
+             geom: ArrayGeometry, *, timestamp_ns: int = 0) -> Spectrum2D:
     """Marginalized 2D MUSIC image for one snapshot window.
 
     For every angle bin the spatial spectrum 1 / (a^H E_N E_N^H a) is evaluated
     on the full (tof, aod) grid via the Kronecker factorization of the steering
-    vector and reduced with ``sum`` (default) or ``max``, a chunk of whole
-    elevation rows at a time.
+    vector and summed over that grid, a chunk of whole elevation rows at a time.
     """
     if grids is None:
         grids = GridSpec()
-    if reduce not in ("sum", "max"):
-        raise ValueError(f"reduce must be 'sum' or 'max', got {reduce!r}")
     dim = geom.dim
     if subspace.dim != dim:
         raise ValueError(f"subspace dimension {subspace.dim} does not match "
@@ -363,9 +344,7 @@ def spectrum(subspace: NoiseSubspace, grids: GridSpec | None, cfg: ChannelConfig
 
     if basis.shape[1] == 0:
         # Every direction counts as noise: a^H E_N E_N^H a = |a|^2 = dim.
-        value = 1.0 / dim
-        image.fill(value * (grids.tof_grid_s.size * grids.aod_grid_deg.size)
-                   if reduce == "sum" else value)
+        image.fill(1.0 / dim * (grids.tof_grid_s.size * grids.aod_grid_deg.size))
         return Spectrum2D(image, timestamp_ns)
 
     diag_sums, forms = _basis_pair_forms(basis, cfg, geom, grids)
@@ -391,10 +370,7 @@ def spectrum(subspace: NoiseSubspace, grids: GridSpec | None, cfg: ChannelConfig
         if not den.min() >= floor:
             np.maximum(den, floor, out=den)
         np.reciprocal(den, out=den)
-        if reduce == "sum":
-            np.matmul(den, ones, out=image[start:stop])
-        else:
-            np.max(den, axis=2, out=image[start:stop])
+        np.matmul(den, ones, out=image[start:stop])
     return Spectrum2D(np.ascontiguousarray(image.T), timestamp_ns)
 
 

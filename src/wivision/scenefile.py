@@ -19,6 +19,11 @@ Unknown sections or keys are rejected.  Numbers must be finite; only
 ``snr_db`` may be ``inf``.  All sections are optional; missing values fall back
 to the defaults of the model they configure.  Persona sections expand into
 walking body-part paths and are appended to any explicit paths.
+
+A geometry file (``wivision spectrum --config``) describes the antenna layout
+of a capture and holds the [geometry] section alone.  Its layout, when it
+gives no ``spacing_m``, is spaced at half the wavelength of the capture's
+carrier.
 """
 
 from __future__ import annotations
@@ -70,24 +75,9 @@ class SceneBundle:
     scene: Scene
 
 
-def load_scene(path, require_paths: bool = True) -> SceneBundle:
-    """Parse a scene file.
-
-    With ``require_paths=False`` a file carrying only [channel] and [geometry]
-    sections is accepted (used for configuration overrides); the returned
-    scene then has no paths.
-    """
-    parser = configparser.ConfigParser(interpolation=None)
-    parser.optionxform = str
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            parser.read_file(fh)
-    except configparser.Error as exc:
-        raise SceneFileError(f"{path}: {exc}") from exc
-
-    sections = dict(parser.items())
-    sections.pop("DEFAULT", None)
-
+def load_scene(path) -> SceneBundle:
+    """Parse a scene file; it must define at least one path or persona."""
+    sections = _read_sections(path)
     with _section(path, "channel"):
         cfg = ChannelConfig(**_values(sections.pop("channel", {}), _CHANNEL_KEYS))
     with _section(path, "geometry"):
@@ -115,12 +105,41 @@ def load_scene(path, require_paths: bool = True) -> SceneBundle:
                                      packet_rate_hz=sim.packet_rate_hz,
                                      snr_db=sim.snr_db, rng_seed=sim.rng_seed)
         paths.extend(walk.paths)
-    if not paths and require_paths:
+    if not paths:
         raise SceneFileError(f"{path}: scene defines no paths or personas")
 
     with _section(path):
         scene = replace(sim, paths=tuple(paths))
     return SceneBundle(cfg, geom, scene)
+
+
+def load_geometry(path, cfg: ChannelConfig) -> ArrayGeometry:
+    """The array geometry of a geometry file, for a capture at ``cfg``'s carrier.
+
+    A section other than [geometry] raises :class:`SceneFileError` naming the
+    file and that section.
+    """
+    sections = _read_sections(path)
+    for name in sections:
+        if name != "geometry":
+            raise SceneFileError(f"{path}: [{name}] is not allowed in a geometry "
+                                 "file, which holds only [geometry]")
+    with _section(path, "geometry"):
+        return _parse_geometry(sections.get("geometry", {}), cfg)
+
+
+def _read_sections(path) -> dict:
+    """The sections of an INI file by name, without ``DEFAULT``."""
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.optionxform = str
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            parser.read_file(fh)
+    except configparser.Error as exc:
+        raise SceneFileError(f"{path}: {exc}") from exc
+    sections = dict(parser.items())
+    sections.pop("DEFAULT", None)
+    return sections
 
 
 @contextmanager

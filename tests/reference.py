@@ -20,6 +20,7 @@ import numpy as np
 import scipy.linalg
 
 from wivision.arraymodel import (
+    SPEED_OF_LIGHT,
     ArrayGeometry,
     ChannelConfig,
     PathHypothesis,
@@ -99,7 +100,7 @@ def rx_phase(cfg: ChannelConfig, geom: ArrayGeometry, k: int, hyp: PathHypothesi
         raise IndexError(f"rx antenna index {k} out of range [0, {geom.n_rx})")
     d = direction_vector(hyp.azimuth_deg, hyp.elevation_deg)
     proj = float(d @ geom.rx_positions[k])
-    return complex(np.exp(-2j * np.pi * cfg.carrier_hz * proj / cfg.speed_of_light))
+    return complex(np.exp(-2j * np.pi * cfg.carrier_hz * proj / SPEED_OF_LIGHT))
 
 
 def tx_phase(cfg: ChannelConfig, m: int, aod_deg: float) -> complex:

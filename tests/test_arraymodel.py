@@ -33,7 +33,8 @@ def random_hypotheses(rng, n):
 
 class TestChannelConfig:
     def test_defaults(self, cfg):
-        assert cfg.speed_of_light == 299_792_458.0
+        assert C == 299_792_458.0
+        assert cfg.wavelength_m == C / cfg.carrier_hz
         assert cfg.tx_spacing_m == pytest.approx(cfg.wavelength_m / 2.0)
 
     @pytest.mark.parametrize("kwargs", [

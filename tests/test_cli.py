@@ -12,10 +12,9 @@ import numpy as np
 import pytest
 
 import wivision
-from wivision import Spectrum2D, cli, music
-from wivision.csif import packet_size_bytes, read_csif
-from wivision.export import read_spectrum_csv, write_spectrum_csv
-from wivision.sanitize import sanitize
+from wivision import Spectrum2D, cli
+from wivision.csif import packet_size_bytes
+from wivision.export import write_spectrum_csv
 from wivision.cli import EXIT_INPUT, EXIT_OK, EXIT_USAGE, main
 
 SCENE = """
@@ -369,25 +368,6 @@ class TestPipelineCommands:
         pgms = sorted(outdir.glob("*.pgm"))
         assert len(csvs) == 4 and len(pgms) == 4
 
-    def test_reduce_max_reaches_spectrum(self, scene_file, tmp_path):
-        csif_path = tmp_path / "stream.csif"
-        run("simulate", "--scene", scene_file, "--out", csif_path)
-        grids = ("--tau-grid-ns", "0,10,20", "--aod-grid-deg", "60,90,120")
-        images = {}
-        for reduce in ("sum", "max"):
-            outdir = tmp_path / reduce
-            assert run("spectrum", "--in", csif_path, "--stride", 200, "--out", outdir,
-                       "--reduce", reduce, *grids) == EXIT_OK
-            images[reduce] = read_spectrum_csv(outdir / "spectrum_00000.csv").grid
-        stream = sanitize(read_csif(csif_path))
-        sub = music.noise_subspace_from_window(music.windows(stream, 100, 200)[0])
-        expected = music.spectrum(
-            sub, music.GridSpec(np.array([0.0, 10.0, 20.0]) * 1e-9,
-                                np.array([60.0, 90.0, 120.0])),
-            stream.config, stream.geometry, reduce="max")
-        assert np.array_equal(images["max"], expected.grid)
-        assert not np.allclose(images["max"], images["sum"])
-
     def test_enhance_and_aggregate(self, scene_file, tmp_path):
         csif_path = tmp_path / "stream.csif"
         run("simulate", "--scene", scene_file, "--out", csif_path)
@@ -454,20 +434,116 @@ class TestPipelineCommands:
     def test_config_geometry_override(self, scene_file, tmp_path):
         csif_path = tmp_path / "stream.csif"
         run("simulate", "--scene", scene_file, "--out", csif_path)
-        # channel/geometry-only file is a valid --config
+        # a geometry-only file is a valid --config
         override = tmp_path / "override.ini"
         override.write_text(
             "[geometry]\narm_x = 2\narm_z = 2\nn_tx = 2\nn_subcarriers = 8\n")
         outdir = tmp_path / "cfg"
-        assert run("--config", override, "spectrum", "--in", csif_path,
+        assert run("spectrum", "--config", override, "--in", csif_path,
                    "--window", 100, "--stride", 200, "--out", outdir,
                    "--tau-grid-ns", "0:40:10", "--aod-grid-deg", "90") == EXIT_OK
         # a geometry that contradicts the CSIF header is an input error
         bad = tmp_path / "bad.ini"
         bad.write_text("[geometry]\narm_x = 4\narm_z = 4\nn_tx = 2\n"
                        "n_subcarriers = 8\n")
-        assert run("--config", bad, "spectrum", "--in", csif_path,
+        assert run("spectrum", "--config", bad, "--in", csif_path,
                    "--out", tmp_path / "x") == EXIT_INPUT
+
+
+# one 100-packet window of the default 810-element array at a 2.4 GHz carrier
+CAPTURE_2G4 = """
+[channel]
+carrier_hz = 2.4e9
+
+[simulation]
+snr_db = 25
+duration_s = 0.1
+seed = 3
+
+[path:p]
+azimuth_deg = 70
+elevation_deg = 80
+tof_ns = 10
+aod_deg = 80
+"""
+
+
+@pytest.fixture(scope="module")
+def capture_2g4(tmp_path_factory):
+    root = tmp_path_factory.mktemp("capture_2g4")
+    (root / "scene.ini").write_text(CAPTURE_2G4)
+    assert run("simulate", "--scene", root / "scene.ini",
+               "--out", root / "stream.csif") == EXIT_OK
+    return root / "stream.csif"
+
+
+G = object()  # stands for the geometry file in an argument list
+
+
+@pytest.mark.parametrize("text, argv, code, err", [
+    ("[geometry]\nn_tx = 3\n", ("spectrum", "--config", G), EXIT_OK, ""),
+    ("[channel]\ncarrier_hz = 2.4e9\n", ("spectrum", "--config", G), EXIT_INPUT,
+     "wivision: input error: {g}: [channel] is not allowed in a geometry file, "
+     "which holds only [geometry]\n"),
+    ("[geometry]\n\n[simulation]\nseed = 1\n", ("spectrum", "--config", G),
+     EXIT_INPUT, "wivision: input error: {g}: [simulation] is not allowed in a "
+     "geometry file, which holds only [geometry]\n"),
+    ("[path:x]\nazimuth_deg = 90\n", ("spectrum", "--config", G), EXIT_INPUT,
+     "wivision: input error: {g}: [path:x] is not allowed in a geometry file, "
+     "which holds only [geometry]\n"),
+    ("[persona:x]\ngait_period_s = 1\n", ("spectrum", "--config", G), EXIT_INPUT,
+     "wivision: input error: {g}: [persona:x] is not allowed in a geometry file, "
+     "which holds only [geometry]\n"),
+    ("[geometry]\narm_x = 4\narm_z = 4\n", ("spectrum", "--config", G), EXIT_INPUT,
+     "wivision: input error: {g}: geometry (rx, tx, subcarriers) (7, 3, 30) does "
+     "not match the capture's (9, 3, 30)\n"),
+    ("[geometry]\nn_tx = 3\n", ("--config", G, "spectrum"), EXIT_USAGE, None),
+    ("", ("spectrum", "--reduce", "max"), EXIT_USAGE,
+     "wivision: error: unrecognized arguments: --reduce max\n"),
+], ids=["geometry_at_capture_carrier", "channel", "simulation", "path", "persona",
+        "size_mismatch", "global_flag", "reduce"])
+def test_spectrum_config_file(capture_2g4, tmp_path, capsys, text, argv, code, err):
+    g = tmp_path / "g.ini"
+    g.write_text(text)
+    out = tmp_path / "out"
+    args = [g if a is G else a for a in argv]
+    grids = ("--tau-grid-ns", "0,10", "--aod-grid-deg", "80")
+    assert run(*args, "--in", capture_2g4, "--out", out, *grids) == code
+    stderr = capsys.readouterr().err
+    if err is None:
+        assert stderr.startswith("wivision: error: ")
+    else:
+        assert stderr == err.format(g=g)
+    if code == EXIT_OK:
+        # the file's layout is spaced at the capture's carrier, as the default is
+        plain = tmp_path / "plain"
+        assert run("spectrum", "--in", capture_2g4, "--out", plain, *grids) == EXIT_OK
+        assert tree(out) == tree(plain) and len(tree(out)) == 2
+    else:
+        assert not out.exists()
+
+
+def test_readme_flags_exist():
+    """Every flag the README's command synopsis and global flags name is parsed."""
+    parser = cli._build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Command line\n", 1)[1]
+    synopsis = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    missing = []
+    for line in synopsis.replace("\\\n", " ").splitlines():
+        command, rest = line.split(maxsplit=2)[1:]
+        known = sub.choices[command]._option_string_actions
+        missing += [f"{command} {flag}"
+                    for flag in re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", rest)
+                    if flag not in known]
+    # the global flags are listed outside the parentheses that explain them
+    listed = section.split("Global flags:", 1)[1].split("\n\n", 1)[0]
+    while (bare := re.sub(r"\([^()]*\)", "", listed)) != listed:
+        listed = bare
+    missing += [f"wivision {flag}" for flag in re.findall(r"`(-[a-z-]+)`", listed)
+                if flag not in parser._option_string_actions]
+    assert missing == []
 
 
 @pytest.mark.parametrize("stage, flag", [

@@ -42,7 +42,7 @@ class TestCsif:
     def test_roundtrip_preserves_f32_payload(self, stream, tmp_path):
         path = tmp_path / "s.csif"
         write_csif(stream, path)
-        back = read_csif(path, geometry=stream.geometry)
+        back = replace(read_csif(path), geometry=stream.geometry)
         np.testing.assert_array_equal(back.tensors.astype(np.complex64),
                                       stream.tensors.astype(np.complex64))
         np.testing.assert_array_equal(back.timestamps_ns, stream.timestamps_ns)
@@ -111,14 +111,6 @@ class TestCsif:
         back = read_csif(path)
         np.testing.assert_allclose(back.geometry.rx_positions, geom.rx_positions)
 
-    def test_geometry_mismatch_rejected(self, stream, tmp_path, cfg):
-        path = tmp_path / "mm.csif"
-        write_csif(stream, path)
-        wrong = ArrayGeometry.l_shaped(cfg.wavelength_m / 2.0, arm_x=3, arm_z=3,
-                                       n_tx=1, n_subcarriers=4)
-        with pytest.raises(CsifFormatError, match="geometry"):
-            read_csif(path, geometry=wrong)
-
 
 def write_csif_per_packet(stream, path):
     """The per-packet writer the record-array writer replaced, kept as an oracle."""
@@ -155,7 +147,7 @@ class TestCsifRecordLayout:
         record = np.dtype([("ts", "<u8"), ("iq", "<f4", (2 * math.prod(shape[1:]),))])
         iq = np.frombuffer(path.read_bytes()[36:], dtype=record)["iq"].astype(np.float64)
         expected = (iq[:, 0::2] + 1j * iq[:, 1::2]).reshape(shape)
-        back = read_csif(path, geometry=offset_stream.geometry)
+        back = replace(read_csif(path), geometry=offset_stream.geometry)
         assert np.array_equal(back.tensors, expected)
         assert len(back) == n and back.tensors.dtype == complex
         assert not back.tensors.flags.writeable

@@ -73,21 +73,21 @@ def _build_parser() -> _Parser:
     offsets.add_argument("--inject-offsets", action="store_true",
                          help="apply per-packet STO/PDD phase errors")
     scan = argparse.ArgumentParser(add_help=False)
-    scan.add_argument("--window", type=int, default=music.DEFAULT_WINDOW_LEN)
-    scan.add_argument("--stride", type=int, default=music.DEFAULT_STRIDE)
+    scan.add_argument("--window", type=_count, default=music.DEFAULT_WINDOW_LEN)
+    scan.add_argument("--stride", type=_count, default=music.DEFAULT_STRIDE)
     scan.add_argument("--no-sanitize", action="store_true")
     scan.add_argument("--tau-grid-ns", type=_grid_type("tof_grid_s", 1e-9),
                       help="comma list or start:stop:step, nanoseconds")
     scan.add_argument("--aod-grid-deg", type=_grid_type("aod_grid_deg", 1.0),
                       help="comma list or start:stop:step, degrees")
     enhance = argparse.ArgumentParser(add_help=False)
-    enhance.add_argument("--static-window", type=int,
+    enhance.add_argument("--static-window", type=_count,
                          default=imaging.DEFAULT_STATIC_WINDOW)
     enhance.add_argument("--floor-db", type=float, default=imaging.DEFAULT_FLOOR_DB)
     enhance.add_argument("--static-mode", choices=("rolling", "global"),
                          default="rolling")
     aggregate = argparse.ArgumentParser(add_help=False)
-    aggregate.add_argument("--frames", type=int,
+    aggregate.add_argument("--frames", type=_count,
                            default=imaging.DEFAULT_AGGREGATE_FRAMES)
 
     p = sub.add_parser("simulate", parents=[offsets],
@@ -131,6 +131,18 @@ def _build_parser() -> _Parser:
     p.add_argument("--scene", type=Path, required=True)
     p.add_argument("--out", type=Path, required=True, help="output directory")
     return parser
+
+
+def _count(text: str) -> int:
+    """argparse type of a count flag: an integer >= 1, so that a bad value is a
+    usage error naming the flag, raised before any work."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r}: expected an integer") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text!r}: must be >= 1")
+    return value
 
 
 _MAX_GRID_POINTS = 4096
@@ -307,15 +319,23 @@ def _read_track(indir: Path, frame_rate_hz: float) -> imaging.SpectrumTrack:
     return imaging.SpectrumTrack(frames, frame_rate_hz=frame_rate_hz)
 
 
-def _compute_spectra(stream: CsiStream, args,
-                     grids: music.GridSpec) -> list[music.Spectrum2D]:
+def _stream_to_image(stream: CsiStream, args) -> CsiStream:
+    """The stream whose windows are imaged: degraded with ``--degraded``, then
+    sanitized unless ``--no-sanitize`` or under 2 subcarriers.
+
+    Callers rebind their stream to the result, so the raw stream is freed
+    before imaging and each capture is held once.
+    """
     if getattr(args, "degraded", False):
         stream = degrade_stream(stream)
-        window_len = 1
-    else:
-        window_len = args.window
     if not getattr(args, "no_sanitize", False) and stream.geometry.n_subcarriers >= 2:
         stream = sanitize_stream(stream)
+    return stream
+
+
+def _compute_spectra(stream: CsiStream, args,
+                     grids: music.GridSpec) -> list[music.Spectrum2D]:
+    window_len = 1 if getattr(args, "degraded", False) else args.window
     wins = music.windows(stream, window_len=window_len, stride=args.stride)
     sources = getattr(args, "sources", None)
 
@@ -349,6 +369,7 @@ def _cmd_spectrum(args) -> int:
                 f"{args.config}: geometry (rx, tx, subcarriers) {shape} does not "
                 f"match the capture's {stream.tensors.shape[1:]}")
         stream = replace(stream, geometry=geometry)
+    stream = _stream_to_image(stream, args)
     track = _compute_spectra(stream, args, _grids_from_args(args))
     _write_frames(_numbered(track, args.out, "spectrum"))
     logger.info("wrote %d spectrum frames to %s", len(track), args.out)
@@ -407,8 +428,9 @@ def _cmd_pipeline(args) -> int:
     bundle = _load_bundle(args)
     stream = _simulate_stream(args, bundle)
     csif.write_csif(stream, outdir / "stream.csif")
-
+    stream = _stream_to_image(stream, args)
     track = _compute_spectra(stream, args, _grids_from_args(args))
+    del stream  # the capture is held through imaging only, not through enhancement
     frame_rate = bundle.scene.packet_rate_hz / args.stride
     raw = imaging.SpectrumTrack(track, frame_rate_hz=frame_rate)
     enhanced = imaging.enhance_track(raw, static_window=args.static_window,

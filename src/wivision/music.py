@@ -10,7 +10,8 @@ summed over the (tof, aod) grid to a 180 x 180 angle image.
 Three implementation notes that matter for speed on the 810-element virtual
 array:
 
-* Windows are read-only views into one vectorized copy of the stream.
+* Windows are read-only views into the stream held in steering order;
+  simulated and sanitized streams are stored that way, so no copy is made.
 * With far fewer snapshots than array elements the covariance is rank
   deficient, so the signal basis comes from the method of snapshots
   (Sirovich 1987): the small window_len x window_len Gram matrix X^H X is
@@ -107,7 +108,11 @@ class SnapshotWindow:
 
 
 def vectorize_frames(tensors: np.ndarray) -> np.ndarray:
-    """(n, rx, tx, su) frame tensors -> (n, rx*tx*su) rows in steering order."""
+    """(n, rx, tx, su) frame tensors -> (n, rx*tx*su) rows in steering order.
+
+    The rows are a view when the tensors are stored in steering order, and a
+    copy otherwise.
+    """
     n = tensors.shape[0]
     return np.ascontiguousarray(tensors.transpose(0, 2, 1, 3)).reshape(n, -1)
 
@@ -117,8 +122,11 @@ def windows(stream: CsiStream, window_len: int = DEFAULT_WINDOW_LEN,
     """Overlapping snapshot windows, at least one.
 
     A stream shorter than one window raises ``ValueError``.  Window matrices
-    are read-only views into one vectorized copy of the stream, so overlapping
-    windows share memory.
+    are read-only views into the stream's (n, tx, rx, subcarrier) rows, so
+    overlapping windows share memory.  A stream stored in that order, as
+    :func:`wivision.simulate.simulate` and :func:`wivision.sanitize.sanitize`
+    store theirs, is windowed without a copy; any other layout, such as a
+    stream read from CSIF under ``--no-sanitize``, is copied once into it.
     """
     if window_len < 1 or stride < 1:
         raise ValueError("window_len and stride must be >= 1")

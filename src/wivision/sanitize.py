@@ -20,29 +20,46 @@ from dataclasses import replace
 
 import numpy as np
 
-from .simulate import CsiStream
+from .simulate import CsiStream, block_len, steering_ordered_zeros
 
 
 def sanitize(stream: CsiStream) -> CsiStream:
-    """Return a stream with per-packet common phase offset and slope removed."""
+    """Return a stream with per-packet common phase offset and slope removed.
+
+    The result is held once, in steering order (see :func:`sanitize_tensors`),
+    so :func:`wivision.music.windows` cuts its windows from it without a copy.
+    """
     return replace(stream, tensors=sanitize_tensors(stream.tensors))
 
 
 def sanitize_tensors(tensors: np.ndarray) -> np.ndarray:
-    """Sanitize a (n_packets, rx, tx, subcarrier) array; see :func:`sanitize`."""
-    n_su = tensors.shape[-1]
+    """Sanitize a (n_packets, rx, tx, subcarrier) array; see :func:`sanitize`.
+
+    Packets are sanitized in blocks of :func:`~wivision.simulate.block_len`
+    packets, each by the same per-packet arithmetic as the whole array at
+    once, so the bits depend neither on the block size nor on the input's
+    memory layout.  The result is stored in steering order (see
+    :func:`~wivision.simulate.steering_ordered_zeros`); the only other memory
+    held is one block's temporaries.
+    """
+    n, n_rx, n_tx, n_su = tensors.shape
     if n_su < 2:
         raise ValueError(f"sanitize needs at least 2 subcarriers, got {n_su}")
     n_idx = np.arange(n_su, dtype=float)
     centered = n_idx - n_idx.mean()
     norm = centered @ centered
+    n_pairs = n_rx * n_tx
 
-    phases = np.unwrap(np.angle(tensors), axis=-1)
-    n_pairs = tensors.shape[1] * tensors.shape[2]
-    slopes = np.einsum("prmn,n->p", phases, centered) / (n_pairs * norm)
-    del phases  # half the input's bytes; free it before the complex copy below
-
-    detrended = tensors * np.exp(-1j * slopes[:, None, None, None] * n_idx)
-    intercepts = np.angle(detrended.sum(axis=(1, 2, 3)))
-    detrended *= np.exp(-1j * intercepts)[:, None, None, None]
-    return detrended
+    out = steering_ordered_zeros(n, n_rx, n_tx, n_su)
+    step = block_len(n_rx * n_tx * n_su)
+    for start in range(0, n, step):
+        # packet-major (rx, tx, subcarrier) order, whatever the input's
+        # layout, fixes the order of the sums and so the bits
+        block = np.ascontiguousarray(tensors[start:start + step])
+        phases = np.unwrap(np.angle(block), axis=-1)
+        slopes = np.einsum("prmn,n->p", phases, centered) / (n_pairs * norm)
+        detrended = block * np.exp(-1j * slopes[:, None, None, None] * n_idx)
+        intercepts = np.angle(detrended.sum(axis=(1, 2, 3)))
+        np.multiply(detrended, np.exp(-1j * intercepts)[:, None, None, None],
+                    out=out[start:start + step])
+    return out

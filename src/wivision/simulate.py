@@ -211,6 +211,26 @@ def packet_times(scene: Scene) -> np.ndarray:
     return np.arange(scene.n_packets) / scene.packet_rate_hz
 
 
+_BLOCK_VALUES = 1 << 14
+
+
+def block_len(packet_values: int) -> int:
+    """Packets per block of the per-packet stages, at least one.
+
+    A block holds about ``_BLOCK_VALUES`` complex values (256 KiB), so that it
+    and a stage's temporaries, about five times its size, stay in a 2 MiB L2
+    cache.
+    """
+    return max(1, _BLOCK_VALUES // packet_values)
+
+
+def steering_ordered_zeros(n_packets: int, n_rx: int, n_tx: int, n_su: int) -> np.ndarray:
+    """Zeroed (packet, rx, tx, subcarrier) complex tensors stored in steering
+    order, (packet, tx, rx, subcarrier), so that
+    :func:`wivision.music.windows` cuts its windows from them without a copy."""
+    return np.zeros((n_packets, n_tx, n_rx, n_su), dtype=complex).transpose(0, 2, 1, 3)
+
+
 def simulate(scene: Scene, cfg: ChannelConfig, geom: ArrayGeometry) -> CsiStream:
     """Render the CSI stream of a scene.
 
@@ -218,6 +238,13 @@ def simulate(scene: Scene, cfg: ChannelConfig, geom: ArrayGeometry) -> CsiStream
     SNR, white complex Gaussian noise whose per-element power is the stream's
     mean per-element signal power divided by the linear SNR.  Identical
     (scene, seed) inputs produce bit-identical streams.
+
+    Packets are rendered in blocks of :func:`block_len` packets into the one
+    output array, paths in scene order within a block, so the stream is held
+    once and the peak stays under twice its bytes.  Every element sees the
+    same operations as in a whole-stream render, so the bits do not depend on
+    the block size.  The output is stored in steering order (see
+    :func:`steering_ordered_zeros`).
     """
     if not scene.paths:
         raise DegenerateSceneError("scene has no paths; nothing to render")
@@ -226,23 +253,42 @@ def simulate(scene: Scene, cfg: ChannelConfig, geom: ArrayGeometry) -> CsiStream
 
     children = np.random.SeedSequence(scene.rng_seed).spawn(len(scene.paths) + 1)
     n = scene.n_packets
-    signal = np.zeros((n, geom.n_rx, geom.n_tx, geom.n_subcarriers), dtype=complex)
+    schedules = []
     for path, child in zip(scene.paths, children):
-        az, el, tof, aod = path.hypothesis_at(t)
-        tensor = steering_tensor(cfg, geom, az, el, tof, aod)
         g = path.gains_at(t)
         if path.phase_jitter > 0:
             rng = np.random.default_rng(child)
             dither = rng.uniform(-np.pi * path.phase_jitter, np.pi * path.phase_jitter, n)
             g = g * np.exp(1j * dither)
-        signal += g[:, None, None, None] * tensor
+        schedules.append((path.hypothesis_at(t), g[:, None, None, None]))
+
+    signal = steering_ordered_zeros(n, geom.n_rx, geom.n_tx, geom.n_subcarriers)
+    step = block_len(geom.dim)
+    blocks = [slice(start, start + step) for start in range(0, n, step)]
+    for b in blocks:
+        # paths are summed in a (packet, rx, tx, subcarrier) block, the layout
+        # of steering_tensor, and the sum is stored once
+        block = np.zeros(signal[b].shape, dtype=complex)
+        for hypothesis, g in schedules:
+            tensor = steering_tensor(cfg, geom, *(h[b] for h in hypothesis))
+            # g stays the first operand: numpy's complex multiply is not
+            # symmetric in its last bits
+            np.multiply(g[b], tensor, out=tensor)
+            block += tensor
+        signal[b] = block
 
     if math.isfinite(scene.snr_db):
-        p_signal = float(np.mean(np.abs(signal) ** 2))
+        # summed in (packet, rx, tx, subcarrier) order, which fixes the bits
+        power = np.abs(signal, order="C")
+        p_signal = float(np.mean(np.square(power, out=power)))
+        del power
         noise_var = p_signal / 10.0 ** (scene.snr_db / 10.0)
+        scale = math.sqrt(noise_var / 2.0)
         rng = np.random.default_rng(children[-1])
-        parts = rng.standard_normal(signal.shape + (2,))
-        signal = signal + math.sqrt(noise_var / 2.0) * (parts[..., 0] + 1j * parts[..., 1])
+        for b in blocks:
+            out = signal[b]
+            parts = rng.standard_normal(out.shape + (2,))
+            out += scale * (parts[..., 0] + 1j * parts[..., 1])
 
     return CsiStream(cfg, geom, ts_ns, signal)
 

@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
 
-from wivision import ArrayGeometry, ChannelConfig, default_geometry
+from wivision import (
+    ArrayGeometry,
+    ChannelConfig,
+    GainGate,
+    PathHypothesis,
+    Scene,
+    ScenePath,
+    default_geometry,
+)
+from wivision.simulate import block_len
 
 
 @pytest.fixture
@@ -25,3 +34,25 @@ def small_geom(cfg):
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture
+def mixed_scenes():
+    """``make(dim, snr_db)``: one jittered, gated and moving three-path scene
+    per packet count around the block length of the per-packet stages on a
+    ``dim``-element array: 1, block - 1, block, block + 1 and 3.5 blocks."""
+    def make(dim, snr_db):
+        block = block_len(dim)
+        scenes = []
+        for n in (1, block - 1, block, block + 1, 3 * block + block // 2):
+            duration = n / 1000.0
+            walk = ((0.0, PathHypothesis(60, 80, 15e-9, 75)),
+                    (duration, PathHypothesis(70, 85, 25e-9, 80)))
+            paths = (ScenePath(PathHypothesis(90, 90, 5e-9, 90), tag="los",
+                               phase_jitter=1.0),
+                     ScenePath(walk[0][1], gain=0.5j, tag="human", motion=walk,
+                               gate=GainGate(0.004), phase_jitter=0.3),
+                     ScenePath(PathHypothesis(130, 95, 35e-9, 110), gain=0.3))
+            scenes.append(Scene(paths, snr_db=snr_db, duration_s=duration, rng_seed=17))
+        return scenes
+    return make

@@ -10,10 +10,14 @@
 * Background subtraction one frame at a time: a trailing-window median per
   frame and a subtract-clamp-floor per frame, against which the one-pass
   ``wivision.imaging.enhance_track`` is checked bit for bit.
+* Rendering and sanitizing a whole capture at once, against which the
+  blocked ``wivision.simulate.simulate`` and
+  ``wivision.sanitize.sanitize_tensors`` are checked bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +35,7 @@ from wivision.arraymodel import (
 )
 from wivision.imaging import SpectrumTrack
 from wivision.music import NoiseSubspace, SnapshotWindow, Spectrum2D, estimate_source_count
+from wivision.simulate import Scene, packet_times
 
 
 def covariance(window: SnapshotWindow) -> np.ndarray:
@@ -154,3 +159,45 @@ def enhance_track(track: SpectrumTrack, static_window: int, floor_db: float,
                     static_estimate(SpectrumTrack(track.frames[:i + 1]), static_window),
                     floor_db)
             for i in range(static_window - 1, len(track))]
+
+
+def simulate_tensors(scene: Scene, cfg: ChannelConfig, geom: ArrayGeometry) -> np.ndarray:
+    """The (n, rx, tx, subcarrier) tensors of a scene, every path rendered over
+    the whole capture at once and the noise drawn in one call."""
+    t = packet_times(scene)
+    children = np.random.SeedSequence(scene.rng_seed).spawn(len(scene.paths) + 1)
+    n = scene.n_packets
+    signal = np.zeros((n, geom.n_rx, geom.n_tx, geom.n_subcarriers), dtype=complex)
+    for path, child in zip(scene.paths, children):
+        az, el, tof, aod = path.hypothesis_at(t)
+        tensor = steering_tensor(cfg, geom, az, el, tof, aod)
+        g = path.gains_at(t)
+        if path.phase_jitter > 0:
+            rng = np.random.default_rng(child)
+            dither = rng.uniform(-np.pi * path.phase_jitter, np.pi * path.phase_jitter, n)
+            g = g * np.exp(1j * dither)
+        signal += g[:, None, None, None] * tensor
+
+    if math.isfinite(scene.snr_db):
+        p_signal = float(np.mean(np.abs(signal) ** 2))
+        noise_var = p_signal / 10.0 ** (scene.snr_db / 10.0)
+        rng = np.random.default_rng(children[-1])
+        parts = rng.standard_normal(signal.shape + (2,))
+        signal = signal + math.sqrt(noise_var / 2.0) * (parts[..., 0] + 1j * parts[..., 1])
+    return signal
+
+
+def sanitize_tensors(tensors: np.ndarray) -> np.ndarray:
+    """Per-packet offset and slope removal over the whole capture at once."""
+    n_su = tensors.shape[-1]
+    n_idx = np.arange(n_su, dtype=float)
+    centered = n_idx - n_idx.mean()
+    norm = centered @ centered
+
+    phases = np.unwrap(np.angle(tensors), axis=-1)
+    n_pairs = tensors.shape[1] * tensors.shape[2]
+    slopes = np.einsum("prmn,n->p", phases, centered) / (n_pairs * norm)
+    detrended = tensors * np.exp(-1j * slopes[:, None, None, None] * n_idx)
+    intercepts = np.angle(detrended.sum(axis=(1, 2, 3)))
+    detrended *= np.exp(-1j * intercepts)[:, None, None, None]
+    return detrended

@@ -190,12 +190,22 @@ class TestErrorReports:
         assert "wivision.csif.CsifFormatError: packet 3" in loud.stderr
 
     @pytest.mark.filterwarnings("error")
-    def test_zero_static_window_is_2(self, tmp_path, capsys):
+    def test_zero_static_window_is_1(self, tmp_path, capsys):
         indir = three_spectra(tmp_path)
         assert run("enhance", "--in", indir, "--out", tmp_path / "o",
-                   "--static-window", 0) == EXIT_INPUT
+                   "--static-window", 0) == EXIT_USAGE
         assert capsys.readouterr().err == (
-            "wivision: input error: static window must be >= 1\n")
+            "wivision: error: argument --static-window: '0': must be >= 1\n")
+
+    @pytest.mark.parametrize("flag", ["--window", "--stride", "--static-window",
+                                      "--frames"])
+    def test_zero_count_flag_is_1_before_any_work(self, scene_file, tmp_path, capsys,
+                                                  flag):
+        out = tmp_path / "run"
+        assert run("pipeline", "--scene", scene_file, "--out", out, flag, 0) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"wivision: error: argument {flag}: '0': must be >= 1\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("text, where, reason", [
         ("[geometry]\nrx_0_m = a,0,0\n", "[geometry] ",

@@ -1,17 +1,25 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import reference
 from wivision import (
     ArrayGeometry,
+    ChannelConfig,
     PathHypothesis,
     Scene,
     ScenePath,
+    default_geometry,
     inject_phase_offsets,
     sanitize,
     simulate,
+    six_reflector_scene,
+    windows,
 )
+from wivision.sanitize import sanitize_tensors
+from wivision.simulate import block_len
 
 
 def make_stream(cfg, geom, paths, snr_db=math.inf, duration=0.05, seed=0):
@@ -71,7 +79,6 @@ class TestSanitize:
         for eta0, eta1 in [(1.0, 0.05), (4.5, -np.pi / n_su), (2.0, 0.0)]:
             ramp = np.exp(-1j * (eta0 + eta1 * np.arange(n_su)))
             shifted = stream.tensors * ramp
-            from wivision.sanitize import sanitize_tensors
             a = sanitize_tensors(shifted)
             b = sanitize_tensors(stream.tensors)
             np.testing.assert_allclose(a, b, atol=1e-9)
@@ -83,8 +90,6 @@ class TestSanitize:
             sanitize(stream)
 
     def test_in_place_intercept_matches_out_of_place(self, rng):
-        from wivision.sanitize import sanitize_tensors
-
         def out_of_place(tensors):
             n_idx = np.arange(tensors.shape[-1], dtype=float)
             centered = n_idx - n_idx.mean()
@@ -96,8 +101,48 @@ class TestSanitize:
             intercepts = np.angle(detrended.sum(axis=(1, 2, 3)))
             return detrended * np.exp(-1j * intercepts)[:, None, None, None]
 
-        shape = (40, 9, 3, 30)
+        shape = (3 * block_len(9 * 3 * 30) + 7, 9, 3, 30)
         tensors = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         before = tensors.copy()
         assert np.array_equal(sanitize_tensors(tensors), out_of_place(tensors))
         assert np.array_equal(tensors, before)
+
+    @pytest.mark.parametrize("geom_name", ["full_geom", "small_geom"])
+    def test_blocked_matches_whole_capture(self, cfg, request, mixed_scenes, geom_name):
+        geom = request.getfixturevalue(geom_name)
+        for scene in mixed_scenes(geom.dim, 20.0):
+            tensors = inject_phase_offsets(simulate(scene, cfg, geom), seed=5).tensors
+            # the bits are those of the whole-capture form on a (packet, rx,
+            # tx, subcarrier)-contiguous copy, whatever the input's layout
+            contiguous = np.ascontiguousarray(tensors)
+            expected = reference.sanitize_tensors(contiguous).tobytes()
+            for given in (tensors, contiguous):
+                out = sanitize_tensors(given)
+                assert out.tobytes() == expected
+                # stored in steering order, (packet, tx, rx, subcarrier)
+                assert out.transpose(0, 2, 1, 3).flags.c_contiguous
+
+
+@pytest.fixture(scope="module")
+def one_second_capture():
+    """1 s of the six-reflector scene at 25 dB, 13 MB of tensors."""
+    cfg = ChannelConfig()
+    return simulate(six_reflector_scene(snr_db=25.0, duration_s=1.0), cfg,
+                    default_geometry(cfg))
+
+
+class TestMemory:
+    def test_extra_peak_is_under_a_quarter_more_than_the_stream(self, one_second_capture):
+        tracemalloc.start()
+        try:
+            sanitize(one_second_capture)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * one_second_capture.tensors.nbytes
+
+    def test_windows_are_views_of_the_stream(self, one_second_capture):
+        for stream in (one_second_capture, sanitize(one_second_capture)):
+            ws = windows(stream)
+            for w in (ws[0], ws[-1]):
+                assert np.shares_memory(w.matrix, stream.tensors)

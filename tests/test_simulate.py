@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,8 +18,10 @@ from wivision import (
     human_walk_preset,
     inject_phase_offsets,
     simulate,
+    six_reflector_scene,
 )
 
+import reference
 from reference import virtual_steering_vector
 
 
@@ -105,6 +108,28 @@ class TestSimulate:
             measured = 10 * np.log10(np.mean(np.abs(clean.tensors) ** 2)
                                      / np.mean(np.abs(noise) ** 2))
             assert measured == pytest.approx(snr_db, abs=0.5)
+
+    @pytest.mark.parametrize("snr_db", [math.inf, 20.0])
+    @pytest.mark.parametrize("geom_name", ["full_geom", "small_geom"])
+    def test_blocked_render_matches_whole_capture(self, cfg, request, mixed_scenes,
+                                                  geom_name, snr_db):
+        geom = request.getfixturevalue(geom_name)
+        for scene in mixed_scenes(geom.dim, snr_db):
+            tensors = simulate(scene, cfg, geom).tensors
+            assert len(tensors) == scene.n_packets
+            expected = reference.simulate_tensors(scene, cfg, geom)
+            assert tensors.tobytes() == expected.tobytes()
+
+    def test_peak_is_under_twice_the_stream(self, cfg, full_geom):
+        # 1 s of the six-reflector scene at 25 dB, 13 MB of tensors
+        scene = six_reflector_scene(snr_db=25.0, duration_s=1.0)
+        tracemalloc.start()
+        try:
+            stream = simulate(scene, cfg, full_geom)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * stream.tensors.nbytes
 
     def test_timestamps_match_packet_rate(self, cfg, small_geom):
         stream = simulate(single_path_scene(PathHypothesis(90, 90), duration=0.01),

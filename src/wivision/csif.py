@@ -14,7 +14,11 @@ Layout (little-endian):
 followed by ``packet_count`` records of :func:`_packet_dtype`: a u64 timestamp
 in nanoseconds and ``n_rx * n_tx * n_su`` little-endian complex64 values
 (real then imaginary float32; index order rx-major, then tx, then subcarrier).
-The reader and the writer share that one record layout.
+The reader and the writer share that one record layout.  The reader reads the
+payload straight into one record array and hands its complex64 field to the
+stream without a copy, so a capture read from CSIF is held at complex64; the
+sanitizer widens it to complex128 a block at a time.  The writer converts and
+writes the stream a block of packets at a time.
 
 The format carries dimensions but not antenna positions or tx spacing; the
 reader reconstructs the default L-shaped half-wavelength layout, and a caller
@@ -24,12 +28,13 @@ with another layout swaps it in with ``dataclasses.replace``.
 from __future__ import annotations
 
 import math
+import os
 import struct
 
 import numpy as np
 
 from .arraymodel import ChannelConfig, default_geometry
-from .simulate import CsiStream
+from .simulate import CsiStream, block_len
 
 MAGIC = b"CSIF"
 VERSION = 1
@@ -53,7 +58,9 @@ def write_csif(stream: CsiStream, path) -> None:
     """Serialize a stream; values are stored at float32 precision.
 
     A value beyond the float32 range raises :class:`CsifFormatError` naming the
-    first packet at fault, before the file is opened.
+    first packet at fault, before the file is opened.  The records are built
+    and written :func:`~wivision.simulate.block_len` packets at a time, so the
+    only memory this holds is one block of them.
     """
     geom = stream.geometry
     n_rx, n_tx, n_su = geom.n_rx, geom.n_tx, geom.n_subcarriers
@@ -63,62 +70,80 @@ def write_csif(stream: CsiStream, path) -> None:
     header = _HEADER.pack(MAGIC, VERSION, n_rx, n_tx, n_su,
                           stream.config.carrier_hz,
                           stream.config.subcarrier_spacing_hz, len(stream))
-    packets = np.empty(len(stream), dtype=_packet_dtype(n_rx, n_tx, n_su))
-    packets["ts"] = stream.timestamps_ns
-    try:
-        with np.errstate(over="raise"):
-            packets["iq"] = stream.tensors
-    except FloatingPointError:
-        with np.errstate(over="ignore"):
-            cast = stream.tensors.astype(np.complex64)
-        fits = np.isfinite(cast).reshape(len(stream), -1).all(axis=1)
-        raise CsifFormatError(f"packet {int(np.argmin(fits))}: tensor values exceed "
-                              "the complex64 range") from None
+    step = block_len(geom.dim)
+    blocks = [slice(start, start + step) for start in range(0, len(stream), step)]
+    records = np.empty(min(step, len(stream)), dtype=_packet_dtype(n_rx, n_tx, n_su))
+
+    def fill(b: slice) -> np.ndarray:
+        """The records of the packets in ``b``, built in the one block buffer."""
+        tensors = stream.tensors[b]
+        out = records[:len(tensors)]
+        try:
+            with np.errstate(over="raise"):
+                out["iq"] = tensors
+        except FloatingPointError:
+            with np.errstate(over="ignore"):
+                cast = tensors.astype(np.complex64)
+            fits = np.isfinite(cast).reshape(len(tensors), -1).all(axis=1)
+            raise CsifFormatError(f"packet {b.start + int(np.argmin(fits))}: tensor "
+                                  "values exceed the complex64 range") from None
+        out["ts"] = stream.timestamps_ns[b]
+        return out
+
+    for b in blocks:  # every value is checked before the file is opened
+        fill(b)
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(packets)
+        for b in blocks:
+            fh.write(fill(b))
 
 
 def read_csif(path) -> CsiStream:
     """Parse a CSIF file back into a stream on the default layout of its header.
 
-    A bad timestamp or a non-finite value raises :class:`CsifFormatError`
-    naming the first packet at fault.
+    The payload is read into one record array; the stream's tensors are its
+    read-only complex64 field, not a copy.  A bad timestamp or a non-finite
+    value raises :class:`CsifFormatError` naming the first packet at fault.
     """
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < _HEADER.size:
-        raise CsifFormatError(f"file too short for a CSIF header ({len(raw)} bytes)")
-    magic, version, n_rx, n_tx, n_su, carrier_hz, spacing_hz, n_packets = \
-        _HEADER.unpack_from(raw)
-    if magic != MAGIC:
-        raise CsifFormatError(f"bad magic {magic!r}, expected {MAGIC!r}")
-    if version != VERSION:
-        raise CsifFormatError(f"unsupported CSIF version {version}")
-    if min(n_rx, n_tx, n_su) < 1:
-        raise CsifFormatError(f"invalid dimensions {n_rx}x{n_tx}x{n_su}")
+        head = fh.read(_HEADER.size)
+        if len(head) < _HEADER.size:
+            raise CsifFormatError(f"file too short for a CSIF header ({len(head)} bytes)")
+        magic, version, n_rx, n_tx, n_su, carrier_hz, spacing_hz, n_packets = \
+            _HEADER.unpack(head)
+        if magic != MAGIC:
+            raise CsifFormatError(f"bad magic {magic!r}, expected {MAGIC!r}")
+        if version != VERSION:
+            raise CsifFormatError(f"unsupported CSIF version {version}")
+        if min(n_rx, n_tx, n_su) < 1:
+            raise CsifFormatError(f"invalid dimensions {n_rx}x{n_tx}x{n_su}")
 
-    for name, value in (("carrier_hz", carrier_hz), ("subcarrier_spacing_hz", spacing_hz)):
-        if not (math.isfinite(value) and value > 0):
-            raise CsifFormatError(f"header {name} must be finite and positive, got {value}")
+        for name, value in (("carrier_hz", carrier_hz),
+                            ("subcarrier_spacing_hz", spacing_hz)):
+            if not (math.isfinite(value) and value > 0):
+                raise CsifFormatError(f"header {name} must be finite and positive, "
+                                      f"got {value}")
 
-    try:
-        record = _packet_dtype(n_rx, n_tx, n_su)
-    except ValueError as exc:  # numpy caps a record at 2 GB
-        raise CsifFormatError(f"invalid dimensions {n_rx}x{n_tx}x{n_su}: {exc}") from exc
-    complete, leftover = divmod(len(raw) - _HEADER.size, record.itemsize)
-    if leftover:
-        raise CsifFormatError(f"file truncated mid packet {complete}: "
-                              f"{leftover} trailing bytes of {record.itemsize}")
-    if complete != n_packets:
-        raise CsifFormatError(f"header declares {n_packets} packets but payload "
-                              f"holds {complete}; bad packet index {min(complete, n_packets)}")
+        try:
+            record = _packet_dtype(n_rx, n_tx, n_su)
+        except ValueError as exc:  # numpy caps a record at 2 GB
+            raise CsifFormatError(f"invalid dimensions {n_rx}x{n_tx}x{n_su}: {exc}") from exc
+        payload = os.fstat(fh.fileno()).st_size - _HEADER.size
+        complete, leftover = divmod(payload, record.itemsize)
+        if leftover:
+            raise CsifFormatError(f"file truncated mid packet {complete}: "
+                                  f"{leftover} trailing bytes of {record.itemsize}")
+        if complete != n_packets:
+            raise CsifFormatError(f"header declares {n_packets} packets but payload "
+                                  f"holds {complete}; bad packet index "
+                                  f"{min(complete, n_packets)}")
+        packets = np.fromfile(fh, dtype=record, count=n_packets)
+    if len(packets) != n_packets:  # the file shrank while it was read
+        raise CsifFormatError(f"file truncated at packet {len(packets)}")
 
     cfg = ChannelConfig(carrier_hz=carrier_hz, subcarrier_spacing_hz=spacing_hz)
     geometry = default_geometry(cfg, n_rx=n_rx, n_tx=n_tx, n_subcarriers=n_su)
-    packets = np.frombuffer(raw, dtype=record, offset=_HEADER.size)
     try:
-        return CsiStream(cfg, geometry, packets["ts"].astype(np.int64),
-                         packets["iq"].astype(complex))
+        return CsiStream(cfg, geometry, packets["ts"].astype(np.int64), packets["iq"])
     except ValueError as exc:
         raise CsifFormatError(str(exc)) from exc

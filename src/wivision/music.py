@@ -110,11 +110,11 @@ class SnapshotWindow:
 def vectorize_frames(tensors: np.ndarray) -> np.ndarray:
     """(n, rx, tx, su) frame tensors -> (n, rx*tx*su) rows in steering order.
 
-    The rows are a view when the tensors are stored in steering order, and a
-    copy otherwise.
+    The rows are a view when the tensors are complex128 stored in steering
+    order.  Otherwise they are a copy, widened to complex128, which is exact.
     """
-    n = tensors.shape[0]
-    return np.ascontiguousarray(tensors.transpose(0, 2, 1, 3)).reshape(n, -1)
+    rows = np.ascontiguousarray(tensors.transpose(0, 2, 1, 3), dtype=complex)
+    return rows.reshape(tensors.shape[0], -1)
 
 
 def windows(stream: CsiStream, window_len: int = DEFAULT_WINDOW_LEN,
@@ -125,8 +125,10 @@ def windows(stream: CsiStream, window_len: int = DEFAULT_WINDOW_LEN,
     are read-only views into the stream's (n, tx, rx, subcarrier) rows, so
     overlapping windows share memory.  A stream stored in that order, as
     :func:`wivision.simulate.simulate` and :func:`wivision.sanitize.sanitize`
-    store theirs, is windowed without a copy; any other layout, such as a
-    stream read from CSIF under ``--no-sanitize``, is copied once into it.
+    store theirs, is windowed without a copy.  A stream read from CSIF, held
+    at complex64 in packet order, is copied once into that order and widened
+    to complex128, which is exact; this happens under ``--no-sanitize`` and
+    ``--degraded``, where no sanitized stream stands between.
     """
     if window_len < 1 or stride < 1:
         raise ValueError("window_len and stride must be >= 1")

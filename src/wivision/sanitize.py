@@ -38,7 +38,10 @@ def sanitize_tensors(tensors: np.ndarray) -> np.ndarray:
     Packets are sanitized in blocks of :func:`~wivision.simulate.block_len`
     packets, each by the same per-packet arithmetic as the whole array at
     once, so the bits depend neither on the block size nor on the input's
-    memory layout.  The result is stored in steering order (see
+    memory layout.  Each block is widened to complex128 as it is copied, which
+    is exact, so a complex64 capture read from CSIF is sanitized without a
+    whole-capture complex128 copy and to the bits of its widened form.  The
+    result is stored in steering order (see
     :func:`~wivision.simulate.steering_ordered_zeros`); the only other memory
     held is one block's temporaries.
     """
@@ -54,8 +57,8 @@ def sanitize_tensors(tensors: np.ndarray) -> np.ndarray:
     step = block_len(n_rx * n_tx * n_su)
     for start in range(0, n, step):
         # packet-major (rx, tx, subcarrier) order, whatever the input's
-        # layout, fixes the order of the sums and so the bits
-        block = np.ascontiguousarray(tensors[start:start + step])
+        # layout and precision, fixes the order of the sums and so the bits
+        block = np.ascontiguousarray(tensors[start:start + step], dtype=complex)
         phases = np.unwrap(np.angle(block), axis=-1)
         slopes = np.einsum("prmn,n->p", phases, centered) / (n_pairs * norm)
         detrended = block * np.exp(-1j * slopes[:, None, None, None] * n_idx)

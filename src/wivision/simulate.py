@@ -15,6 +15,7 @@ enable it.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -171,7 +172,10 @@ class CsiStream:
     ``timestamps_ns`` is an (n,) int64 array of strictly increasing packet
     times; ``tensors`` is the (n, rx antenna, tx antenna, subcarrier) complex
     array of channel tensors.  Both are stored without a copy and made
-    read-only.
+    read-only.  A complex64 or complex128 array is kept at its precision, so a
+    capture read from CSIF stays complex64; the stages that compute on it,
+    the sanitizer and the windows, widen it to complex128 as they copy it,
+    which is exact.  Any other input is converted to complex128.
     """
 
     config: ChannelConfig
@@ -181,7 +185,9 @@ class CsiStream:
 
     def __post_init__(self):
         ts = np.asarray(self.timestamps_ns, dtype=np.int64)
-        t = np.asarray(self.tensors, dtype=complex)
+        t = np.asarray(self.tensors)
+        if t.dtype not in (np.complex64, np.complex128):
+            t = t.astype(complex)
         shape = (self.geometry.n_rx, self.geometry.n_tx, self.geometry.n_subcarriers)
         if ts.ndim != 1:
             raise ValueError(f"timestamps must be 1-D, got shape {ts.shape}")
@@ -195,9 +201,12 @@ class CsiStream:
         if late.size:
             p = int(late[0]) + 1
             raise ValueError(f"packet {p}: timestamp {ts[p]} is not after {ts[p - 1]}")
-        bad = np.flatnonzero(~np.isfinite(t).all(axis=(1, 2, 3)))
-        if bad.size:
-            raise ValueError(f"packet {int(bad[0])}: tensor contains non-finite values")
+        step = block_len(self.geometry.dim)
+        for start in range(0, len(t), step):
+            bad = np.flatnonzero(~np.isfinite(t[start:start + step]).all(axis=(1, 2, 3)))
+            if bad.size:
+                raise ValueError(f"packet {start + int(bad[0])}: tensor contains "
+                                 "non-finite values")
         for name, a in (("timestamps_ns", ts), ("tensors", t)):
             a.setflags(write=False)
             object.__setattr__(self, name, a)
@@ -224,6 +233,15 @@ def block_len(packet_values: int) -> int:
     return max(1, _BLOCK_VALUES // packet_values)
 
 
+def _physical_memory_bytes() -> int | None:
+    """This machine's physical memory, or None where ``sysconf`` does not give it."""
+    try:
+        pages, page_size = os.sysconf("SC_PHYS_PAGES"), os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return None
+    return pages * page_size if pages > 0 and page_size > 0 else None
+
+
 def steering_ordered_zeros(n_packets: int, n_rx: int, n_tx: int, n_su: int) -> np.ndarray:
     """Zeroed (packet, rx, tx, subcarrier) complex tensors stored in steering
     order, (packet, tx, rx, subcarrier), so that
@@ -244,10 +262,19 @@ def simulate(scene: Scene, cfg: ChannelConfig, geom: ArrayGeometry) -> CsiStream
     once and the peak stays under twice its bytes.  Every element sees the
     same operations as in a whole-stream render, so the bits do not depend on
     the block size.  The output is stored in steering order (see
-    :func:`steering_ordered_zeros`).
+    :func:`steering_ordered_zeros`).  A stream larger than this machine's
+    physical memory raises :class:`DegenerateSceneError` before any array is
+    allocated.
     """
     if not scene.paths:
         raise DegenerateSceneError("scene has no paths; nothing to render")
+    stream_bytes = scene.n_packets * geom.dim * np.dtype(complex).itemsize
+    memory = _physical_memory_bytes()
+    if memory is not None and stream_bytes > memory:
+        raise DegenerateSceneError(
+            f"a stream of {scene.n_packets} packets of {geom.dim} values needs "
+            f"{stream_bytes} bytes, more than this machine's {memory} bytes of "
+            "memory; lower [simulation] packet_rate_hz or duration_s")
     t = packet_times(scene)
     ts_ns = np.round(t * 1e9).astype(np.int64)
 

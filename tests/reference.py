@@ -13,6 +13,9 @@
 * Rendering and sanitizing a whole capture at once, against which the
   blocked ``wivision.simulate.simulate`` and
   ``wivision.sanitize.sanitize_tensors`` are checked bit for bit.
+* Reading a whole CSIF file as bytes and copying its payload to complex128,
+  against which the stages fed by ``wivision.csif.read_csif``, which holds
+  the payload at complex64, are checked bit for bit.
 """
 
 from __future__ import annotations
@@ -28,14 +31,16 @@ from wivision.arraymodel import (
     ArrayGeometry,
     ChannelConfig,
     PathHypothesis,
+    default_geometry,
     direction_vector,
     steering_tensor,
     subcarrier_factors,
     tx_factors,
 )
+from wivision.csif import _HEADER, _packet_dtype
 from wivision.imaging import SpectrumTrack
 from wivision.music import NoiseSubspace, SnapshotWindow, Spectrum2D, estimate_source_count
-from wivision.simulate import Scene, packet_times
+from wivision.simulate import CsiStream, Scene, packet_times
 
 
 def covariance(window: SnapshotWindow) -> np.ndarray:
@@ -201,3 +206,14 @@ def sanitize_tensors(tensors: np.ndarray) -> np.ndarray:
     intercepts = np.angle(detrended.sum(axis=(1, 2, 3)))
     detrended *= np.exp(-1j * intercepts)[:, None, None, None]
     return detrended
+
+
+def read_csif(path) -> CsiStream:
+    """A valid CSIF file read whole as bytes, its payload copied to complex128."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    _, _, n_rx, n_tx, n_su, carrier_hz, spacing_hz, _ = _HEADER.unpack_from(raw)
+    packets = np.frombuffer(raw, dtype=_packet_dtype(n_rx, n_tx, n_su), offset=_HEADER.size)
+    cfg = ChannelConfig(carrier_hz=carrier_hz, subcarrier_spacing_hz=spacing_hz)
+    return CsiStream(cfg, default_geometry(cfg, n_rx=n_rx, n_tx=n_tx, n_subcarriers=n_su),
+                     packets["ts"].astype(np.int64), packets["iq"].astype(complex))

@@ -279,6 +279,19 @@ class TestErrorReports:
             "wivision: input error: packet 0: tensor values exceed the complex64 range\n")
         assert not out.exists()
 
+    def test_stream_beyond_memory_writes_no_stream(self, scene_file, tmp_path, capsys,
+                                                   monkeypatch):
+        # the test scene's 400 packets of 48 values need 307200 bytes
+        simulate_module = sys.modules["wivision.simulate"]
+        monkeypatch.setattr(simulate_module, "_physical_memory_bytes", lambda: 1 << 17)
+        out = tmp_path / "s.csif"
+        assert run("simulate", "--scene", scene_file, "--out", out) == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            "wivision: input error: a stream of 400 packets of 48 values needs 307200 "
+            "bytes, more than this machine's 131072 bytes of memory; lower [simulation] "
+            "packet_rate_hz or duration_s\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["enhance", "pipeline"])
     @pytest.mark.parametrize("floor_db", ["-4000", "-5", "nan"])
     def test_bad_floor_writes_no_frames(self, scene_file, tmp_path, capsys, command,

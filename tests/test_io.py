@@ -2,6 +2,7 @@ import math
 import re
 import struct
 import sys
+import tracemalloc
 from configparser import ConfigParser
 from dataclasses import replace
 
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference
 from wivision import (
     ArrayGeometry,
     ChannelConfig,
@@ -20,15 +22,21 @@ from wivision import (
     SceneFileError,
     ScenePath,
     Spectrum2D,
+    default_geometry,
+    degrade_stream,
     inject_phase_offsets,
     load_scene,
     read_csif,
+    sanitize,
     simulate,
+    six_reflector_scene,
+    windows,
     write_csif,
 )
 from wivision import scenefile
 from wivision.csif import packet_size_bytes
 from wivision.export import _csv_rows, read_spectrum_csv, write_pgm, write_spectrum_csv
+from wivision.simulate import block_len
 
 
 @pytest.fixture
@@ -149,7 +157,7 @@ class TestCsifRecordLayout:
         expected = (iq[:, 0::2] + 1j * iq[:, 1::2]).reshape(shape)
         back = replace(read_csif(path), geometry=offset_stream.geometry)
         assert np.array_equal(back.tensors, expected)
-        assert len(back) == n and back.tensors.dtype == complex
+        assert len(back) == n and back.tensors.dtype == np.complex64
         assert not back.tensors.flags.writeable
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
@@ -183,6 +191,81 @@ class TestCsifRecordLayout:
         with pytest.raises(CsifFormatError,
                            match=f"header {field} must be finite and positive, got {value}"):
             read_csif(path)
+
+
+@pytest.fixture(scope="module")
+def capture_file(tmp_path_factory):
+    """0.25 s of the six-reflector scene with phase offsets on the full array,
+    12.5 blocks of packets, as a CSIF file."""
+    cfg = ChannelConfig()
+    stream = simulate(six_reflector_scene(snr_db=20.0, duration_s=0.25), cfg,
+                      default_geometry(cfg))
+    path = tmp_path_factory.mktemp("capture") / "six_reflector.csif"
+    write_csif(inject_phase_offsets(stream, seed=8), path)
+    return path
+
+
+class TestCsifMemory:
+    def test_read_peak_is_the_payload(self, capture_file):
+        payload = capture_file.stat().st_size - 36
+        tracemalloc.start()
+        try:
+            back = read_csif(capture_file)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert back.tensors.dtype == np.complex64
+        assert peak < 1.1 * payload
+
+    def test_write_extra_peak_is_under_two_blocks(self, capture_file, tmp_path):
+        stream = reference.read_csif(capture_file)
+        record = packet_size_bytes(*stream.tensors.shape[1:])
+        assert len(stream) > 10 * block_len(stream.geometry.dim)
+        tracemalloc.start()
+        try:
+            write_csif(stream, tmp_path / "again.csif")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * block_len(stream.geometry.dim) * record
+        assert (tmp_path / "again.csif").read_bytes() == capture_file.read_bytes()
+
+    def test_overflow_in_a_later_block_names_packet(self, capture_file, tmp_path):
+        stream = read_csif(capture_file)
+        tensors = stream.tensors.astype(complex)
+        step = block_len(stream.geometry.dim)
+        tensors[2 * step + 3, 1, 2, 4] = 1e300
+        tensors[3 * step, 0, 0, 0] = 1e300j
+        path = tmp_path / "big.csif"
+        with pytest.raises(CsifFormatError, match=f"^packet {2 * step + 3}: tensor values "
+                                                  "exceed the complex64 range$"):
+            write_csif(replace(stream, tensors=tensors), path)
+        assert not path.exists()
+
+
+class TestComplex64Capture:
+    """A capture read at complex64 gives the bits of its complex128 copy."""
+
+    @pytest.fixture
+    def streams(self, capture_file):
+        return read_csif(capture_file), reference.read_csif(capture_file)
+
+    def test_sanitize(self, streams):
+        held, widened = (sanitize(s).tensors for s in streams)
+        assert held.dtype == widened.dtype == complex
+        assert held.tobytes() == widened.tobytes()
+
+    @pytest.mark.parametrize("degraded", [False, True])
+    def test_windows(self, streams, degraded):
+        if degraded:
+            streams = tuple(degrade_stream(s) for s in streams)
+        held, widened = (windows(s, window_len=1 if degraded else 100, stride=33)
+                         for s in streams)
+        assert len(held) == len(widened) > 1
+        for a, b in zip(held, widened):
+            assert a.matrix.dtype == b.matrix.dtype == complex
+            assert a.matrix.tobytes() == b.matrix.tobytes()
+            assert a.timestamp_ns == b.timestamp_ns
 
 
 def repr_rows(values) -> bytes:

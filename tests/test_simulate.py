@@ -1,3 +1,4 @@
+import importlib
 import math
 import tracemalloc
 
@@ -23,6 +24,10 @@ from wivision import (
 
 import reference
 from reference import virtual_steering_vector
+from wivision.simulate import block_len
+
+# the package's ``simulate`` is the function; this is its module
+simulate_module = importlib.import_module("wivision.simulate")
 
 
 def single_path_scene(hyp, gain=1.0 + 0.0j, snr_db=math.inf, duration=0.05, seed=0):
@@ -131,6 +136,35 @@ class TestSimulate:
             tracemalloc.stop()
         assert peak <= 2 * stream.tensors.nbytes
 
+    def test_stream_beyond_memory_is_rejected_unallocated(self, cfg, small_geom,
+                                                          monkeypatch):
+        # 10000 packets of 48 values need 7680000 bytes
+        monkeypatch.setattr(simulate_module, "_physical_memory_bytes", lambda: 7679999)
+        scene = single_path_scene(PathHypothesis(90, 90), duration=10.0)
+        tracemalloc.start()
+        try:
+            with pytest.raises(DegenerateSceneError,
+                               match=r"^a stream of 10000 packets of 48 values needs 7680000 "
+                                     r"bytes, more than this machine's 7679999 bytes of "
+                                     r"memory; lower \[simulation\] packet_rate_hz or "
+                                     r"duration_s$"):
+                simulate(scene, cfg, small_geom)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10000 * 8  # not even the timestamps were allocated
+        monkeypatch.setattr(simulate_module, "_physical_memory_bytes", lambda: 7680000)
+        assert len(simulate(scene, cfg, small_geom)) == 10000
+
+    @pytest.mark.parametrize("sysconf", [{}, {"SC_PHYS_PAGES": -1, "SC_PAGE_SIZE": 4096}])
+    def test_memory_check_is_skipped_without_sysconf(self, monkeypatch, sysconf):
+        def fake(name):
+            if name not in sysconf:
+                raise ValueError(f"unrecognized configuration name {name!r}")
+            return sysconf[name]
+        monkeypatch.setattr(simulate_module.os, "sysconf", fake)
+        assert simulate_module._physical_memory_bytes() is None
+
     def test_timestamps_match_packet_rate(self, cfg, small_geom):
         stream = simulate(single_path_scene(PathHypothesis(90, 90), duration=0.01),
                           cfg, small_geom)
@@ -187,6 +221,25 @@ class TestCsiStreamValidation:
         tensors[4, 0, 0, 0] = value
         with pytest.raises(ValueError, match="packet 2: tensor contains non-finite"):
             CsiStream(cfg, small_geom, ts, tensors)
+
+    def test_non_finite_value_in_a_later_block(self, cfg, small_geom):
+        n = 2 * block_len(small_geom.dim) + 7
+        shape = (n, small_geom.n_rx, small_geom.n_tx, small_geom.n_subcarriers)
+        tensors = np.ones(shape, dtype=np.complex64)
+        tensors[n - 3, 1, 1, 7] = np.nan
+        with pytest.raises(ValueError, match=f"packet {n - 3}: tensor contains non-finite"):
+            CsiStream(cfg, small_geom, np.arange(n) * 1000, tensors)
+
+    @pytest.mark.parametrize("dtype, kept", [(np.complex64, np.complex64),
+                                             (np.complex128, np.complex128),
+                                             (np.float32, np.complex128),
+                                             (np.int64, np.complex128)])
+    def test_complex_precision_is_kept(self, cfg, small_geom, arrays, dtype, kept):
+        ts, tensors = arrays
+        given = np.ones(tensors.shape, dtype=dtype)
+        stream = CsiStream(cfg, small_geom, ts, given)
+        assert stream.tensors.dtype == kept
+        assert np.shares_memory(stream.tensors, given) == (dtype == kept)
 
     def test_arrays_read_only(self, cfg, small_geom, arrays):
         stream = CsiStream(cfg, small_geom, *arrays)

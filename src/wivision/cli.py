@@ -6,10 +6,12 @@ and ``pipeline`` (all stages in one run).  Exit codes: 0 success, 1 usage,
 thread, so for the same inputs, seed and flags the output bytes depend on
 neither the number of usable CPUs nor the number of BLAS threads.
 
-``spectrum`` and ``pipeline`` compute the image of every snapshot window on
-every usable CPU, this process and one forked worker per further CPU (in this
-process alone when OpenBLAS cannot be pinned, only one CPU is usable, or
-``fork`` is unavailable).  Each command computes all its images first, then
+``pipeline`` images the ``stream.csif`` it writes as ``spectrum`` images its
+input (copied once into steering order under ``--no-sanitize``), so its frames
+are those of the stage commands.  Both compute the image of every snapshot
+window on every usable CPU, this process and one forked worker per further CPU
+(in this process alone when OpenBLAS cannot be pinned, only one CPU is usable,
+or ``fork`` is unavailable).  Each command computes all its images first, then
 writes every frame's CSV and PGM in one pass, shared the same way among the
 usable CPUs.
 """
@@ -33,7 +35,6 @@ import numpy as np
 from . import csif, export, imaging, music, reid, scenefile
 from .sanitize import sanitize as sanitize_stream
 from .simulate import (
-    CsiStream,
     DegenerateSceneError,
     degrade_stream,
     inject_phase_offsets,
@@ -175,23 +176,18 @@ def _grid_type(field: str, scale: float):
     return parse
 
 
-def _grids_from_args(args) -> music.GridSpec:
-    given = {"tof_grid_s": args.tau_grid_ns, "aod_grid_deg": args.aod_grid_deg}
-    return music.GridSpec(**{k: v for k, v in given.items() if v is not None})
-
-
-def _load_bundle(args) -> scenefile.SceneBundle:
+def _simulate_capture(args, path: Path) -> scenefile.SceneBundle:
+    """Render the ``--scene`` file to the CSIF capture at ``path``, with the
+    ``--seed`` and ``--inject-offsets`` of ``args``; return the scene."""
     bundle = scenefile.load_scene(args.scene)
     if args.seed is not None:
         bundle = replace(bundle, scene=replace(bundle.scene, rng_seed=args.seed))
-    return bundle
-
-
-def _simulate_stream(args, bundle: scenefile.SceneBundle) -> CsiStream:
     stream = run_simulation(bundle.scene, bundle.config, bundle.geometry)
     if args.inject_offsets:
         stream = inject_phase_offsets(stream, bundle.scene.rng_seed + 1)
-    return stream
+    csif.write_csif(stream, path)
+    logger.info("wrote %d packets to %s", len(stream), path)
+    return bundle
 
 
 def _write_frame(spec: music.Spectrum2D, stem: Path) -> None:
@@ -319,25 +315,34 @@ def _read_track(indir: Path, frame_rate_hz: float) -> imaging.SpectrumTrack:
     return imaging.SpectrumTrack(frames, frame_rate_hz=frame_rate_hz)
 
 
-def _stream_to_image(stream: CsiStream, args) -> CsiStream:
-    """The stream whose windows are imaged: degraded with ``--degraded``, then
-    sanitized unless ``--no-sanitize`` or under 2 subcarriers.
-
-    Callers rebind their stream to the result, so the raw stream is freed
-    before imaging and each capture is held once.
-    """
-    if getattr(args, "degraded", False):
+def _image_capture(path: Path, args,
+                   bundle: scenefile.SceneBundle | None) -> list[music.Spectrum2D]:
+    """The image of every window of the CSIF capture at ``path``, laid out by
+    ``bundle`` (the scene that wrote it) or else by the ``--config`` geometry
+    file, if given, then degraded with ``--degraded`` and sanitized unless
+    ``--no-sanitize`` or under 2 subcarriers.  Each step rebinds the one stream,
+    so the capture is held once, and only until its windows are imaged."""
+    stream = csif.read_csif(path)
+    if bundle is not None:
+        stream = replace(stream, config=bundle.config, geometry=bundle.geometry)
+    elif getattr(args, "config", None) is not None:
+        geometry = scenefile.load_geometry(args.config, stream.config)
+        shape = (geometry.n_rx, geometry.n_tx, geometry.n_subcarriers)
+        if shape != stream.tensors.shape[1:]:
+            raise scenefile.SceneFileError(
+                f"{args.config}: geometry (rx, tx, subcarriers) {shape} does not "
+                f"match the capture's {stream.tensors.shape[1:]}")
+        stream = replace(stream, geometry=geometry)
+    degraded = getattr(args, "degraded", False)
+    if degraded:
         stream = degrade_stream(stream)
-    if not getattr(args, "no_sanitize", False) and stream.geometry.n_subcarriers >= 2:
+    if not args.no_sanitize and stream.geometry.n_subcarriers >= 2:
         stream = sanitize_stream(stream)
-    return stream
-
-
-def _compute_spectra(stream: CsiStream, args,
-                     grids: music.GridSpec) -> list[music.Spectrum2D]:
-    window_len = 1 if getattr(args, "degraded", False) else args.window
-    wins = music.windows(stream, window_len=window_len, stride=args.stride)
+    wins = music.windows(stream, window_len=1 if degraded else args.window,
+                         stride=args.stride)
     sources = getattr(args, "sources", None)
+    given = {"tof_grid_s": args.tau_grid_ns, "aod_grid_deg": args.aod_grid_deg}
+    grids = music.GridSpec(**{k: v for k, v in given.items() if v is not None})
 
     def image(w: music.SnapshotWindow) -> np.ndarray:
         sub = music.noise_subspace_from_window(w, s_hat=sources)
@@ -351,26 +356,21 @@ def _compute_spectra(stream: CsiStream, args,
     return [music.Spectrum2D(g, w.timestamp_ns) for g, w in zip(images, wins)]
 
 
+def _aggregate(track: imaging.SpectrumTrack, frames: int) -> music.Spectrum2D:
+    """The aggregate of the ``frames`` most recent frames of ``track``, or of
+    every frame when it holds fewer."""
+    k = min(frames, len(track))
+    logger.info("aggregated the last %d of %d frames", k, len(track))
+    return imaging.aggregate(track, k=k)
+
+
 def _cmd_simulate(args) -> int:
-    bundle = _load_bundle(args)
-    stream = _simulate_stream(args, bundle)
-    csif.write_csif(stream, args.out)
-    logger.info("wrote %d packets to %s", len(stream), args.out)
+    _simulate_capture(args, args.out)
     return EXIT_OK
 
 
 def _cmd_spectrum(args) -> int:
-    stream = csif.read_csif(args.infile)
-    if args.config is not None:
-        geometry = scenefile.load_geometry(args.config, stream.config)
-        shape = (geometry.n_rx, geometry.n_tx, geometry.n_subcarriers)
-        if shape != stream.tensors.shape[1:]:
-            raise scenefile.SceneFileError(
-                f"{args.config}: geometry (rx, tx, subcarriers) {shape} does not "
-                f"match the capture's {stream.tensors.shape[1:]}")
-        stream = replace(stream, geometry=geometry)
-    stream = _stream_to_image(stream, args)
-    track = _compute_spectra(stream, args, _grids_from_args(args))
+    track = _image_capture(args.infile, args, None)
     _write_frames(_numbered(track, args.out, "spectrum"))
     logger.info("wrote %d spectrum frames to %s", len(track), args.out)
     return EXIT_OK
@@ -387,12 +387,12 @@ def _cmd_enhance(args) -> int:
 
 def _cmd_aggregate(args) -> int:
     track = _read_track(args.indir, imaging.DEFAULT_FRAME_RATE_HZ)
-    agg = imaging.aggregate(track, k=args.frames)
+    agg = _aggregate(track, args.frames)
     if args.out.suffix == ".pgm":
         export.write_pgm(agg, args.out)
     else:
         export.write_spectrum_csv(agg, args.out)
-    logger.info("wrote aggregate of %d frames to %s", args.frames, args.out)
+    logger.info("wrote the aggregate to %s", args.out)
     return EXIT_OK
 
 
@@ -425,17 +425,14 @@ def _cmd_reid(args) -> int:
 def _cmd_pipeline(args) -> int:
     outdir = args.out
     outdir.mkdir(parents=True, exist_ok=True)
-    bundle = _load_bundle(args)
-    stream = _simulate_stream(args, bundle)
-    csif.write_csif(stream, outdir / "stream.csif")
-    stream = _stream_to_image(stream, args)
-    track = _compute_spectra(stream, args, _grids_from_args(args))
-    del stream  # the capture is held through imaging only, not through enhancement
+    capture = outdir / "stream.csif"
+    bundle = _simulate_capture(args, capture)
+    track = _image_capture(capture, args, bundle)
     frame_rate = bundle.scene.packet_rate_hz / args.stride
     raw = imaging.SpectrumTrack(track, frame_rate_hz=frame_rate)
     enhanced = imaging.enhance_track(raw, static_window=args.static_window,
                                      floor_db=args.floor_db, mode=args.static_mode)
-    agg = imaging.aggregate(enhanced, k=min(args.frames, len(enhanced)))
+    agg = _aggregate(enhanced, args.frames)
     _write_frames(_numbered(track, outdir / "spectra", "spectrum")
                   + _numbered(enhanced.frames, outdir / "enhanced", "enhanced")
                   + [(agg, outdir / "aggregate")])

@@ -125,10 +125,10 @@ def windows(stream: CsiStream, window_len: int = DEFAULT_WINDOW_LEN,
     are read-only views into the stream's (n, tx, rx, subcarrier) rows, so
     overlapping windows share memory.  A stream stored in that order, as
     :func:`wivision.simulate.simulate` and :func:`wivision.sanitize.sanitize`
-    store theirs, is windowed without a copy.  A stream read from CSIF, held
-    at complex64 in packet order, is copied once into that order and widened
-    to complex128, which is exact; this happens under ``--no-sanitize`` and
-    ``--degraded``, where no sanitized stream stands between.
+    store theirs, is windowed without a copy.  A stream read from CSIF, as
+    every stream the CLI images is, is held at complex64 in packet order; it
+    is copied once into that order and widened to complex128, which is exact,
+    under ``--no-sanitize`` and ``--degraded``, with no sanitizer between.
     """
     if window_len < 1 or stride < 1:
         raise ValueError("window_len and stride must be >= 1")

@@ -6,15 +6,17 @@ import re
 import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import wivision
-from wivision import Spectrum2D, cli
+from wivision import Spectrum2D, cli, imaging, music
 from wivision.csif import packet_size_bytes
 from wivision.export import write_spectrum_csv
+from wivision.scenefile import load_scene
 from wivision.cli import EXIT_INPUT, EXIT_OK, EXIT_USAGE, main
 
 SCENE = """
@@ -391,7 +393,7 @@ class TestPipelineCommands:
         pgms = sorted(outdir.glob("*.pgm"))
         assert len(csvs) == 4 and len(pgms) == 4
 
-    def test_enhance_and_aggregate(self, scene_file, tmp_path):
+    def test_enhance_and_aggregate(self, scene_file, tmp_path, caplog):
         csif_path = tmp_path / "stream.csif"
         run("simulate", "--scene", scene_file, "--out", csif_path)
         spectra = tmp_path / "spectra"
@@ -408,6 +410,12 @@ class TestPipelineCommands:
         assert agg.exists()
         assert run("aggregate", "--in", enhanced, "--frames", 2,
                    "--out", tmp_path / "agg.pgm") == EXIT_OK
+        # more frames than the track holds aggregate all of them, as in pipeline
+        caplog.set_level(logging.INFO, logger="wivision")
+        assert run("-v", "aggregate", "--in", enhanced, "--frames", 5,
+                   "--out", tmp_path / "agg5.csv") == EXIT_OK
+        assert (tmp_path / "agg5.csv").read_bytes() == agg.read_bytes()
+        assert "aggregated the last 2 of 2 frames" in caplog.text
 
     def test_global_enhance_of_short_track(self, tmp_path):
         out = tmp_path / "enhanced"
@@ -425,6 +433,60 @@ class TestPipelineCommands:
         assert (out / "stream.csif").exists()
         assert (out / "aggregate.csv").exists()
         assert (out / "aggregate.pgm").exists()
+
+    @pytest.mark.parametrize("offsets, frames, spacing", [
+        ((), 2, None), (("--inject-offsets",), 2, None), ((), 5, None),
+        ((), 2, 0.02),
+    ], ids=["plain", "offsets", "frames-above-track", "scene-layout"])
+    def test_pipeline_equals_its_stages(self, tmp_path, offsets, frames, spacing):
+        """``pipeline`` writes, byte for byte, what ``simulate``, ``spectrum``,
+        ``enhance`` and ``aggregate`` write when run in turn on its flags; a
+        scene's own layout reaches ``spectrum`` as a ``--config`` file."""
+        geometry, simulation = SCENE.split("[simulation]")
+        layout = ()
+        if spacing is not None:
+            geometry += f"spacing_m = {spacing}\n"
+            (tmp_path / "geometry.ini").write_text(geometry)
+            layout = ("--config", tmp_path / "geometry.ini")
+        scene = tmp_path / "scene.ini"
+        scene.write_text(geometry + "[simulation]" + simulation)
+        out, stages = tmp_path / "pipeline", tmp_path / "stages"
+        assert run("pipeline", "--scene", scene, "--out", out, *offsets, *SCAN,
+                   "--static-window", 3, "--frames", frames) == EXIT_OK
+        stages.mkdir()
+        capture = stages / "stream.csif"
+        assert run("simulate", "--scene", scene, "--out", capture, *offsets) == EXIT_OK
+        assert run("spectrum", "--in", capture, "--out", stages / "spectra", *SCAN,
+                   *layout) == EXIT_OK
+        assert run("enhance", "--in", stages / "spectra", "--out", stages / "enhanced",
+                   "--static-window", 3) == EXIT_OK
+        for name in ("aggregate.csv", "aggregate.pgm"):
+            assert run("aggregate", "--in", stages / "enhanced", "--frames", frames,
+                       "--out", stages / name) == EXIT_OK
+        assert len(tree(out)) == 15
+        assert tree(out) == tree(stages)
+
+    def test_pipeline_sanitizes_the_capture_it_read(self, tmp_path, monkeypatch):
+        """``pipeline`` frees its complex128 simulation once it is written, so
+        sanitize starts with the complex64 capture read back as the one copy."""
+        scene = tmp_path / "scene.ini"  # the default 810-element array
+        scene.write_text("[simulation]" + SCENE.split("[simulation]")[1])
+        bundle = load_scene(scene)
+        capture = bundle.scene.n_packets * bundle.geometry.dim * 8
+        sanitize, live = cli.sanitize_stream, []
+
+        def traced(stream):
+            live.append(tracemalloc.get_traced_memory()[0])
+            return sanitize(stream)
+
+        monkeypatch.setattr(cli, "sanitize_stream", traced)
+        tracemalloc.start()
+        try:
+            assert run("pipeline", "--scene", scene, "--out", tmp_path / "run", *SCAN,
+                       "--static-window", 3, "--frames", 2) == EXIT_OK
+        finally:
+            tracemalloc.stop()
+        assert len(live) == 1 and live[0] < 1.5 * capture
 
     def test_degraded_flag(self, scene_file, tmp_path):
         csif_path = tmp_path / "stream.csif"
@@ -544,6 +606,17 @@ def test_spectrum_config_file(capture_2g4, tmp_path, capsys, text, argv, code, e
         assert tree(out) == tree(plain) and len(tree(out)) == 2
     else:
         assert not out.exists()
+
+
+def test_readme_scene_runs_at_defaults(tmp_path):
+    """The README's example scene gives ``pipeline`` at its defaults enough
+    windows for the rolling background and a full aggregate."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    scene_file = tmp_path / "scene.ini"
+    scene_file.write_text(readme.split("```ini\n", 1)[1].split("```", 1)[0])
+    scene = load_scene(scene_file).scene
+    windows = 1 + (scene.n_packets - music.DEFAULT_WINDOW_LEN) // music.DEFAULT_STRIDE
+    assert windows >= imaging.DEFAULT_STATIC_WINDOW + imaging.DEFAULT_AGGREGATE_FRAMES - 1
 
 
 def test_readme_flags_exist():

@@ -2,18 +2,18 @@
 
 Subcommands: ``simulate``, ``spectrum``, ``enhance``, ``aggregate``, ``reid``,
 and ``pipeline`` (all stages in one run).  Exit codes: 0 success, 1 usage,
-2 input error, 3 numerical failure.  Every command pins numpy's OpenBLAS to one
-thread, so for the same inputs, seed and flags the output bytes depend on
-neither the number of usable CPUs nor the number of BLAS threads.
+2 input error or worker failure, 3 numerical failure.  Every command pins
+numpy's OpenBLAS to one thread, so for the same inputs, seed and flags the
+output bytes depend on neither the number of usable CPUs nor of BLAS threads.
 
 ``pipeline`` images the ``stream.csif`` it writes as ``spectrum`` images its
 input (copied once into steering order under ``--no-sanitize``), so its frames
 are those of the stage commands.  Both compute the image of every snapshot
 window on every usable CPU, this process and one forked worker per further CPU
 (in this process alone when OpenBLAS cannot be pinned, only one CPU is usable,
-or ``fork`` is unavailable).  Each command computes all its images first, then
-writes every frame's CSV and PGM in one pass, shared the same way among the
-usable CPUs.
+or ``fork`` is unavailable), each writing its images into rows of one shared
+track array.  Each command computes all its images first, then writes every
+frame's CSV and PGM in one pass, shared the same way among the usable CPUs.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import ctypes
 import logging
+import mmap
 import os
 import pickle
 import signal
@@ -33,6 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from . import csif, export, imaging, music, reid, scenefile
+from .arraymodel import N_ANGLE_BINS
 from .sanitize import sanitize as sanitize_stream
 from .simulate import (
     DegenerateSceneError,
@@ -125,7 +127,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--probes", type=Path, required=True,
                    help="directory of probe tracks named <id> or <id>__<variant>")
     p.add_argument("--cmc", type=Path, required=True, help="output CMC CSV")
-    p.add_argument("--frame-rate", type=float, default=imaging.DEFAULT_FRAME_RATE_HZ)
+    p.add_argument("--frame-rate", type=_rate, default=imaging.DEFAULT_FRAME_RATE_HZ)
 
     p = sub.add_parser("pipeline", parents=[offsets, scan, enhance, aggregate],
                        help="scene file through every stage")
@@ -143,6 +145,17 @@ def _count(text: str) -> int:
         raise argparse.ArgumentTypeError(f"{text!r}: expected an integer") from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"{text!r}: must be >= 1")
+    return value
+
+
+def _rate(text: str) -> float:
+    """argparse type of a rate flag: a finite number > 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r}: expected a number") from None
+    if not (np.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"{text!r}: must be finite and > 0")
     return value
 
 
@@ -210,35 +223,27 @@ class _WorkerTraceback(Exception):
     """The formatted traceback of an exception raised in a worker process."""
 
 
-def _run_share(fn, share: list) -> tuple[list, Exception | None]:
-    """``fn`` of each item in order, up to the first exception, which is returned."""
-    results = []
-    try:
-        for item in share:
-            results.append(fn(item))
-    except Exception as exc:
-        return results, exc
-    return results, None
+def _first_failure(fn, items, k: int, processes: int) -> tuple[int, Exception, str] | None:
+    """Call ``fn`` on ``items[k::processes]`` in order; for the first call that
+    raises, the item's index, the exception and its formatted traceback."""
+    for i in range(k, len(items), processes):
+        try:
+            fn(items[i])
+        except Exception as exc:
+            return i, exc, "".join(traceback.format_exception(exc))
+    return None
 
 
-def _receive(pipe):
-    """A worker's ``(results, exception, traceback)``; None if it sent none."""
-    try:
-        return pickle.load(pipe)
-    except (EOFError, pickle.UnpicklingError):
-        return None
-
-
-def _fork_map(fn, items: list, processes: int) -> list:
-    """``[fn(item) for item in items]``, shared among ``processes`` processes.
+def _fork_map(fn, items, processes: int) -> None:
+    """``for item in items: fn(item)``, shared among ``processes`` processes.
 
     This process takes ``items[0::processes]`` and forked worker ``k`` takes
-    ``items[k::processes]``.  Workers inherit ``fn`` and the items, so only
-    their results are pickled, back through a pipe.  A share stops at its first
-    exception; the one raised is that of the lowest-numbered item that failed,
-    as in a serial loop, with a worker's traceback as its cause.  A worker is
-    a copy of this process without its other threads, so call this only while
-    no other thread computes.
+    ``items[k::processes]``.  Workers inherit ``fn`` and the items; ``fn``
+    leaves its results in files or shared memory, and only failures are pickled
+    back.  A share stops at its first exception; the one raised is that of the
+    lowest-numbered item that failed, as in a serial loop, with a worker's
+    traceback as its cause, or ``ChildProcessError`` for a worker that died.  A
+    worker is this process without its other threads: call this while none computes.
     """
     pids, pipes, received, statuses = [], [], [], []
     try:
@@ -248,18 +253,17 @@ def _fork_map(fn, items: list, processes: int) -> list:
             if pid == 0:  # the worker: never returns into the caller
                 status = 1
                 try:
-                    results, exc = _run_share(fn, items[k::processes])
-                    tb = "".join(traceback.format_exception(exc)) if exc else None
+                    failure = _first_failure(fn, items, k, processes)
                     with open(write_fd, "wb") as pipe:
-                        pickle.dump((results, exc, tb), pipe)
+                        pickle.dump(failure, pipe)
                     status = 0
                 finally:
                     os._exit(status)
             os.close(write_fd)
             pids.append(pid)
             pipes.append(open(read_fd, "rb"))
-        outcomes = [(*_run_share(fn, items[0::processes]), None)]
-        received = [_receive(pipe) for pipe in pipes]
+        own = _first_failure(fn, items, 0, processes)
+        received = [pipe.read() for pipe in pipes]
     finally:
         for pipe in pipes:
             pipe.close()
@@ -267,26 +271,22 @@ def _fork_map(fn, items: list, processes: int) -> list:
             if len(received) < len(pids):  # interrupted before every worker sent
                 os.kill(pid, signal.SIGKILL)
             statuses.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
-    for pid, outcome, status in zip(pids, received, statuses):
-        if outcome is None or status != 0:
+    for pid, status in zip(pids, statuses):
+        if status != 0:
             raise ChildProcessError(f"worker process {pid} exited with status {status}")
-        outcomes.append(outcome)
-    failed = [(k + processes * len(results), exc, tb)
-              for k, (results, exc, tb) in enumerate(outcomes) if exc is not None]
+    failed = [f for f in [own, *map(pickle.loads, received)] if f is not None]
     if failed:
-        _, exc, tb = min(failed, key=lambda f: f[0])
-        if tb:
+        i, exc, tb = min(failed, key=lambda f: f[0])
+        if i % processes:  # a worker's item
             raise exc from _WorkerTraceback(tb)
         raise exc
-    out = [None] * len(items)
-    for k, (results, _, _) in enumerate(outcomes):
-        out[k::processes] = results
-    return out
 
 
-def _numbered(frames: list[music.Spectrum2D], outdir: Path,
+def _numbered(track: imaging.SpectrumTrack, outdir: Path,
               prefix: str) -> list[tuple[music.Spectrum2D, Path]]:
-    return [(spec, outdir / f"{prefix}_{i:05d}") for i, spec in enumerate(frames)]
+    """Each row of ``track`` as a :class:`music.Spectrum2D` view, with its stem."""
+    return [(music.Spectrum2D(g), outdir / f"{prefix}_{i:05d}")
+            for i, g in enumerate(track.grids)]
 
 
 def _write_frames(frames: list[tuple[music.Spectrum2D, Path]]) -> None:
@@ -311,17 +311,18 @@ def _read_track(indir: Path, frame_rate_hz: float) -> imaging.SpectrumTrack:
     files = sorted(indir.glob("*.csv"))
     if not files:
         raise FileNotFoundError(f"no spectrum CSV files in {indir}")
-    frames = [export.read_spectrum_csv(f, timestamp_ns=i) for i, f in enumerate(files)]
-    return imaging.SpectrumTrack(frames, frame_rate_hz=frame_rate_hz)
+    grids = np.stack([export.read_spectrum_csv(f).grid for f in files])
+    return imaging.SpectrumTrack(grids, frame_rate_hz=frame_rate_hz)
 
 
 def _image_capture(path: Path, args,
-                   bundle: scenefile.SceneBundle | None) -> list[music.Spectrum2D]:
-    """The image of every window of the CSIF capture at ``path``, laid out by
-    ``bundle`` (the scene that wrote it) or else by the ``--config`` geometry
-    file, if given, then degraded with ``--degraded`` and sanitized unless
-    ``--no-sanitize`` or under 2 subcarriers.  Each step rebinds the one stream,
-    so the capture is held once, and only until its windows are imaged."""
+                   bundle: scenefile.SceneBundle | None) -> imaging.SpectrumTrack:
+    """The track of the images of every window of the CSIF capture at ``path``,
+    laid out by ``bundle`` (the scene that wrote it) or else by the ``--config``
+    geometry file, if given, then degraded with ``--degraded`` and sanitized
+    unless ``--no-sanitize`` or under 2 subcarriers.  Each step rebinds the one
+    stream, so the capture is held once, and only until its windows are imaged.
+    The processes write the images into rows of one shared anonymous ``mmap``."""
     stream = csif.read_csif(path)
     if bundle is not None:
         stream = replace(stream, config=bundle.config, geometry=bundle.geometry)
@@ -343,17 +344,19 @@ def _image_capture(path: Path, args,
     sources = getattr(args, "sources", None)
     given = {"tof_grid_s": args.tau_grid_ns, "aod_grid_deg": args.aod_grid_deg}
     grids = music.GridSpec(**{k: v for k, v in given.items() if v is not None})
+    images = np.frombuffer(mmap.mmap(-1, len(wins) * N_ANGLE_BINS ** 2 * 8)).reshape(
+        len(wins), N_ANGLE_BINS, N_ANGLE_BINS)
 
-    def image(w: music.SnapshotWindow) -> np.ndarray:
-        sub = music.noise_subspace_from_window(w, s_hat=sources)
-        return music.spectrum(sub, grids, stream.config, stream.geometry).grid
+    def image(i: int) -> None:
+        sub = music.noise_subspace_from_window(wins[i], s_hat=sources)
+        images[i] = music.spectrum(sub, grids, stream.config, stream.geometry).grid
 
     started = time.perf_counter()
     processes = _processes(len(wins)) if args.one_blas_thread else 1
-    images = _fork_map(image, wins, processes)
+    _fork_map(image, range(len(wins)), processes)
     logger.info("imaged %d windows in %.3f s, processes: %d", len(wins),
                 time.perf_counter() - started, processes)
-    return [music.Spectrum2D(g, w.timestamp_ns) for g, w in zip(images, wins)]
+    return imaging.SpectrumTrack(images, [w.timestamp_ns for w in wins])
 
 
 def _aggregate(track: imaging.SpectrumTrack, frames: int) -> music.Spectrum2D:
@@ -380,7 +383,7 @@ def _cmd_enhance(args) -> int:
     track = _read_track(args.indir, imaging.DEFAULT_FRAME_RATE_HZ)
     enhanced = imaging.enhance_track(track, static_window=args.static_window,
                                      floor_db=args.floor_db, mode=args.static_mode)
-    _write_frames(_numbered(enhanced.frames, args.out, "enhanced"))
+    _write_frames(_numbered(enhanced, args.out, "enhanced"))
     logger.info("wrote %d enhanced frames to %s", len(enhanced), args.out)
     return EXIT_OK
 
@@ -428,13 +431,11 @@ def _cmd_pipeline(args) -> int:
     capture = outdir / "stream.csif"
     bundle = _simulate_capture(args, capture)
     track = _image_capture(capture, args, bundle)
-    frame_rate = bundle.scene.packet_rate_hz / args.stride
-    raw = imaging.SpectrumTrack(track, frame_rate_hz=frame_rate)
-    enhanced = imaging.enhance_track(raw, static_window=args.static_window,
+    enhanced = imaging.enhance_track(track, static_window=args.static_window,
                                      floor_db=args.floor_db, mode=args.static_mode)
     agg = _aggregate(enhanced, args.frames)
     _write_frames(_numbered(track, outdir / "spectra", "spectrum")
-                  + _numbered(enhanced.frames, outdir / "enhanced", "enhanced")
+                  + _numbered(enhanced, outdir / "enhanced", "enhanced")
                   + [(agg, outdir / "aggregate")])
     logger.info("pipeline complete: %d spectra, %d enhanced frames", len(track),
                 len(enhanced))
@@ -507,6 +508,8 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](args)
     except (np.linalg.LinAlgError, FloatingPointError) as exc:
         return _fail(EXIT_NUMERIC, "numerical failure", exc)
+    except ChildProcessError as exc:  # an OSError, but no fault of the input
+        return _fail(EXIT_INPUT, "worker failure", exc)
     except _INPUT_ERRORS as exc:
         return _fail(EXIT_INPUT, "input error", exc)
 

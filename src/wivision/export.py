@@ -275,18 +275,18 @@ def write_spectrum_csv(spec: Spectrum2D, path) -> None:
         fh.write(b"azimuth,elevation,power\n" + _csv_rows(spec.grid.reshape(-1)))
 
 
-def read_spectrum_csv(path, timestamp_ns: int = 0) -> Spectrum2D:
+def read_spectrum_csv(path) -> Spectrum2D:
     """Read a spectrum CSV; every fault raises a ``ValueError`` naming ``path``.
 
     The file must hold one row per (azimuth, elevation) bin, each exactly once.
     """
     try:
-        return _parse_spectrum_csv(path, timestamp_ns)
+        return _parse_spectrum_csv(path)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
 
 
-def _parse_spectrum_csv(path, timestamp_ns: int) -> Spectrum2D:
+def _parse_spectrum_csv(path) -> Spectrum2D:
     n_bins = N_ANGLE_BINS * N_ANGLE_BINS
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # no data rows: reported below
@@ -306,4 +306,4 @@ def _parse_spectrum_csv(path, timestamp_ns: int) -> Spectrum2D:
                          "every bin must appear exactly once")
     grid = np.zeros((N_ANGLE_BINS, N_ANGLE_BINS))
     grid[az, el] = data[:, 2]
-    return Spectrum2D(grid, timestamp_ns=timestamp_ns)
+    return Spectrum2D(grid)

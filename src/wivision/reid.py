@@ -70,8 +70,7 @@ def extract_features(track: SpectrumTrack) -> FeatureVector:
     if len(track) < MIN_FEATURE_FRAMES:
         raise ValueError(f"feature extraction needs at least {MIN_FEATURE_FRAMES} frames, "
                          f"track has {len(track)}")
-    stack = track.stack()
-    agg = stack.max(axis=0)
+    agg = track.grids.max(axis=0)
     peak = agg.max()
     if peak <= 0:
         raise ValueError("track is all-zero; no subject to describe")
@@ -82,7 +81,7 @@ def extract_features(track: SpectrumTrack) -> FeatureVector:
     weights = agg[active]
     centroid_el = float(np.sum(el_deg * weights) / np.sum(weights))
 
-    power = stack.sum(axis=(1, 2))
+    power = track.grids.sum(axis=(1, 2))
     total_power = float(power.mean())
     # smoothing suppresses frame-rate texture (window straddling, bin
     # crossings) so the modulation and its period reflect the subject

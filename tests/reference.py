@@ -39,7 +39,7 @@ from wivision.arraymodel import (
 )
 from wivision.csif import _HEADER, _packet_dtype
 from wivision.imaging import SpectrumTrack
-from wivision.music import NoiseSubspace, SnapshotWindow, Spectrum2D, estimate_source_count
+from wivision.music import NoiseSubspace, SnapshotWindow, estimate_source_count
 from wivision.simulate import CsiStream, Scene, packet_times
 
 
@@ -139,31 +139,33 @@ def virtual_steering_vector(cfg: ChannelConfig, geom: ArrayGeometry,
                           n_subcarriers=geom.n_subcarriers)
 
 
-def static_estimate(track: SpectrumTrack, window: int) -> Spectrum2D:
-    """Per-bin temporal median over the trailing ``window`` frames."""
-    block = np.stack([f.grid for f in track.frames[-window:]])
-    return Spectrum2D(np.median(block, axis=0), timestamp_ns=track.frames[-1].timestamp_ns)
+def static_estimate(grids: np.ndarray, end: int, window: int) -> np.ndarray:
+    """Per-bin temporal median over the ``window`` frames of ``grids`` that end at
+    frame ``end``."""
+    return np.median(grids[end + 1 - window:end + 1], axis=0)
 
 
-def enhance(frame: Spectrum2D, static: Spectrum2D, floor_db: float) -> Spectrum2D:
+def enhance(frame: np.ndarray, static: np.ndarray, floor_db: float) -> np.ndarray:
     """Subtract ``static`` in linear power, clamp at zero, zero bins far below the peak."""
-    diff = np.maximum(frame.grid - static.grid, 0.0)
+    diff = np.maximum(frame - static, 0.0)
     peak = diff.max()
     if peak > 0 and np.isfinite(floor_db):
         diff[diff < peak * 10.0 ** (-floor_db / 10.0)] = 0.0
-    return Spectrum2D(diff, timestamp_ns=frame.timestamp_ns)
+    return diff
 
 
 def enhance_track(track: SpectrumTrack, static_window: int, floor_db: float,
-                  mode: str) -> list[Spectrum2D]:
-    """Enhanced frames of ``track``, each against its own static estimate."""
+                  mode: str) -> list[tuple[int, np.ndarray]]:
+    """``(timestamp, enhanced grid)`` of the frames of ``track`` that have a
+    static estimate, each frame against its own."""
+    grids, ts = track.grids, track.timestamps_ns
     if mode == "global":
-        static = static_estimate(track, len(track))
-        return [enhance(f, static, floor_db) for f in track.frames]
-    return [enhance(track.frames[i],
-                    static_estimate(SpectrumTrack(track.frames[:i + 1]), static_window),
-                    floor_db)
-            for i in range(static_window - 1, len(track))]
+        static = static_estimate(grids, len(grids) - 1, len(grids))
+        return [(int(ts[i]), enhance(grids[i], static, floor_db))
+                for i in range(len(grids))]
+    return [(int(ts[i]), enhance(grids[i], static_estimate(grids, i, static_window),
+                                 floor_db))
+            for i in range(static_window - 1, len(grids))]
 
 
 def simulate_tensors(scene: Scene, cfg: ChannelConfig, geom: ArrayGeometry) -> np.ndarray:

@@ -193,17 +193,17 @@ def test_criterion_4_enhancement(cfg, geom):
     t_frames = np.array([w.timestamp_ns for w in wins]) / 1e9
     min_att_db = math.inf
     min_retained = math.inf
-    for j, frame in enumerate(enhanced.frames):
+    for j, frame in enumerate(enhanced.grids):
         i = j + static_window - 1
-        raw = track.frames[i].grid
+        raw = track.grids[i]
         for bin_ in ((89, 89), (124, 79)):  # LoS, reflector
-            att = raw[bin_] / max(frame.grid[bin_], raw[bin_] * 1e-30)
+            att = raw[bin_] / max(frame[bin_], raw[bin_] * 1e-30)
             min_att_db = min(min_att_db, 10 * math.log10(att))
         az_now = 50 + min(int(t_frames[i] / 0.1), 19)
         region = raw[az_now - 3:az_now + 4, 101:108]
         pk = np.unravel_index(int(np.argmax(region)), region.shape)
         bi, bj = az_now - 3 + pk[0], 101 + pk[1]
-        min_retained = min(min_retained, frame.grid[bi, bj] / raw[bi, bj])
+        min_retained = min(min_retained, frame[bi, bj] / raw[bi, bj])
     ok = min_att_db >= 20.0 and min_retained >= 0.5
     _report("criterion 4 (human enhancement)", ok,
             f"static/LoS attenuation >= {min_att_db:.0f} dB, "
@@ -231,8 +231,8 @@ def test_criterion_5_aggregation(cfg, geom):
                               timestamp_ns=w.timestamp_ns))
     enhanced = enhance_track(track, static_window=30, floor_db=20.0)
     upper_bin, lower_bin = (79, 109), (79, 69)
-    upper_series = np.array([f.grid[upper_bin] for f in enhanced.frames])
-    lower_series = np.array([f.grid[lower_bin] for f in enhanced.frames])
+    upper_series = enhanced.grids[:, upper_bin[0], upper_bin[1]]
+    lower_series = enhanced.grids[:, lower_bin[0], lower_bin[1]]
 
     both = int(np.sum((upper_series > 0) & (lower_series > 0)))
     agg = aggregate(enhanced, k=15)

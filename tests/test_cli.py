@@ -1,6 +1,7 @@
 import argparse
 import ast
 import logging
+import mmap
 import os
 import re
 import struct
@@ -685,7 +686,13 @@ class TestFrameWriter:
     @pytest.mark.parametrize("processes", [1, 2, 3])
     def test_fork_map_order_and_first_failure(self, processes):
         items = list(range(7))
-        assert cli._fork_map(lambda x: x * x, items, processes) == [x * x for x in items]
+        squares = np.frombuffer(mmap.mmap(-1, 8 * len(items)), dtype=np.int64)
+
+        def square(x):
+            squares[x] = x * x
+
+        assert cli._fork_map(square, items, processes) is None
+        assert squares.tolist() == [x * x for x in items]
 
         def fail_from_3(x):
             if x >= 3:
@@ -766,6 +773,24 @@ class TestFrameWriter:
         assert len(trees[0]) == 13
         assert trees[0] == trees[1]
 
+    def test_dead_worker_is_worker_failure(self, scene_file, tmp_path, monkeypatch,
+                                           capsys):
+        usable_cpus(monkeypatch, 2)
+        monkeypatch.setattr(cli, "_pin_blas_to_one_thread", lambda: True)
+        spectrum, parent = music.spectrum, os.getpid()
+
+        def die_in_worker(*args, **kwargs):
+            if os.getpid() != parent:
+                os._exit(7)
+            return spectrum(*args, **kwargs)
+
+        monkeypatch.setattr(music, "spectrum", die_in_worker)
+        out = tmp_path / "run"
+        assert run_pipeline(scene_file, out) == EXIT_INPUT
+        assert re.fullmatch(r"wivision: worker failure: worker process \d+ exited "
+                            r"with status 7\n", capsys.readouterr().err)
+        assert not (out / "spectra").exists()
+
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_unwritable_frame_is_input_error(self, scene_file, tmp_path, monkeypatch,
                                              capsys, cpus):
@@ -778,6 +803,16 @@ class TestFrameWriter:
 
 
 class TestReidCommand:
+    @pytest.mark.parametrize("rate", ["0", "-1", "nan", "inf"])
+    def test_bad_frame_rate_is_1_before_any_track(self, tmp_path, capsys, rate):
+        # the track directories do not exist, so reading one would exit 2
+        cmc_out = tmp_path / "cmc.csv"
+        assert run("reid", "--gallery", tmp_path / "gallery", "--probes",
+                   tmp_path / "probes", "--cmc", cmc_out, "--frame-rate", rate) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"wivision: error: argument --frame-rate: '{rate}': must be finite and > 0\n")
+        assert not cmc_out.exists()
+
     def test_reid_over_synthetic_tracks(self, tmp_path, rng):
         def write_track(root, name, el_lo, el_hi, period):
             d = root / name

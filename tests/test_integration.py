@@ -79,7 +79,7 @@ def test_aggregate_argmax_tracks_walking_subject(cfg, full_geom):
     hits = 0
     checked = 0
     for i in range(15, len(enhanced)):
-        agg = aggregate(SpectrumTrack(enhanced.frames[:i + 1],
+        agg = aggregate(SpectrumTrack(enhanced.grids[:i + 1],
                                       frame_rate_hz=enhanced.frame_rate_hz), k=15)
         az_peak, el_peak = agg.argmax_angles()
         az_true = 60.0 + min(int(frame_times[i] / dwell), n_steps)

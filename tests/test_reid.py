@@ -7,7 +7,6 @@ from wivision import (
     CmcCurve,
     FeatureVector,
     RankingResult,
-    Spectrum2D,
     SpectrumTrack,
     cmc,
     extract_features,
@@ -19,51 +18,45 @@ def feature(e=20.0, a=10.0, p=5.0, c=90.0, g=1.0, m=0.5):
     return FeatureVector(e, a, p, c, g, m)
 
 
-def blob_frame(az, el, power, ts):
+def blob_grid(az, el, power):
     grid = np.zeros((180, 180))
     grid[az - 1, el - 1] = power
-    return Spectrum2D(grid, timestamp_ns=ts)
+    return grid
 
 
 class TestExtractFeatures:
     def test_static_blob_has_no_gait(self):
-        frames = [blob_frame(90, 100, 10.0, i) for i in range(60)]
-        fv = extract_features(SpectrumTrack(frames))
+        fv = extract_features(SpectrumTrack([blob_grid(90, 100, 10.0)] * 60))
         assert fv.gait_period_s == 0.0
         assert fv.power_modulation_depth < 0.05
         assert fv.elevation_extent_deg == 0.0
         assert fv.centroid_elevation_deg == pytest.approx(100.0)
 
     def test_extents_from_aggregate(self):
-        frames = []
-        for i in range(60):
-            grid = np.zeros((180, 180))
-            grid[59, 74] = 10.0   # az 60, el 75
-            grid[69, 104] = 8.0   # az 70, el 105
-            frames.append(Spectrum2D(grid, timestamp_ns=i))
-        fv = extract_features(SpectrumTrack(frames))
+        grid = np.zeros((180, 180))
+        grid[59, 74] = 10.0   # az 60, el 75
+        grid[69, 104] = 8.0   # az 70, el 105
+        fv = extract_features(SpectrumTrack([grid] * 60))
         assert fv.elevation_extent_deg == pytest.approx(30.0)
         assert fv.azimuth_extent_deg == pytest.approx(10.0)
 
     def test_gait_period_from_modulated_power(self):
-        frames = []
+        grids = []
         for i in range(120):
             on = (i % 30) < 15   # 1.0 s square wave at 30 fps
             power = 10.0 + (5.0 if on else 0.0)
-            frames.append(blob_frame(90, 100, power, i))
-        fv = extract_features(SpectrumTrack(frames, frame_rate_hz=30.0))
+            grids.append(blob_grid(90, 100, power))
+        fv = extract_features(SpectrumTrack(grids, frame_rate_hz=30.0))
         assert fv.gait_period_s == pytest.approx(1.0, abs=1 / 30.0)
         assert fv.power_modulation_depth > 0.1
 
     def test_rejects_short_track(self):
-        frames = [blob_frame(90, 100, 10.0, i) for i in range(10)]
         with pytest.raises(ValueError, match="50"):
-            extract_features(SpectrumTrack(frames))
+            extract_features(SpectrumTrack([blob_grid(90, 100, 10.0)] * 10))
 
     def test_rejects_all_zero_track(self):
-        frames = [Spectrum2D(np.zeros((180, 180)), timestamp_ns=i) for i in range(60)]
         with pytest.raises(ValueError, match="all-zero"):
-            extract_features(SpectrumTrack(frames))
+            extract_features(SpectrumTrack(np.zeros((60, 180, 180))))
 
 
 class TestRank:

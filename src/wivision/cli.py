@@ -7,13 +7,14 @@ numpy's OpenBLAS to one thread, so for the same inputs, seed and flags the
 output bytes depend on neither the number of usable CPUs nor of BLAS threads.
 
 ``pipeline`` images the ``stream.csif`` it writes as ``spectrum`` images its
-input (copied once into steering order under ``--no-sanitize``), so its frames
-are those of the stage commands.  Both compute the image of every snapshot
-window on every usable CPU, this process and one forked worker per further CPU
-(in this process alone when OpenBLAS cannot be pinned, only one CPU is usable,
-or ``fork`` is unavailable), each writing its images into rows of one shared
-track array.  Each command computes all its images first, then writes every
-frame's CSV and PGM in one pass, shared the same way among the usable CPUs.
+input (copied once into steering order under ``--no-sanitize``), on the antenna
+layout the capture carries, so its frames are those of the stage commands.
+Both compute the image of every snapshot window on every usable CPU, this
+process and one forked worker per further CPU (in this process alone when
+OpenBLAS cannot be pinned, only one CPU is usable, or ``fork`` is
+unavailable), each writing its images into rows of one shared track array.
+Each command computes all its images first, then writes every frame's CSV and
+PGM in one pass, shared the same way among the usable CPUs.
 """
 
 from __future__ import annotations
@@ -106,9 +107,6 @@ def _build_parser() -> _Parser:
                    help="1 packet / 1 tx / 1 subcarrier configuration")
     p.add_argument("--sources", type=int, default=None,
                    help="fix the source count instead of estimating it")
-    p.add_argument("--config", type=Path, default=None,
-                   help="geometry file: a [geometry] section giving the capture's "
-                        "antenna layout")
 
     p = sub.add_parser("enhance", parents=[enhance],
                        help="subtract static background from spectra")
@@ -189,9 +187,10 @@ def _grid_type(field: str, scale: float):
     return parse
 
 
-def _simulate_capture(args, path: Path) -> scenefile.SceneBundle:
+def _simulate_capture(args, path: Path) -> None:
     """Render the ``--scene`` file to the CSIF capture at ``path``, with the
-    ``--seed`` and ``--inject-offsets`` of ``args``; return the scene."""
+    ``--seed`` and ``--inject-offsets`` of ``args``; the capture carries the
+    scene's channel and antenna layout."""
     bundle = scenefile.load_scene(args.scene)
     if args.seed is not None:
         bundle = replace(bundle, scene=replace(bundle.scene, rng_seed=args.seed))
@@ -200,13 +199,12 @@ def _simulate_capture(args, path: Path) -> scenefile.SceneBundle:
         stream = inject_phase_offsets(stream, bundle.scene.rng_seed + 1)
     csif.write_csif(stream, path)
     logger.info("wrote %d packets to %s", len(stream), path)
-    return bundle
 
 
-def _write_frame(spec: music.Spectrum2D, stem: Path) -> None:
-    """Write one frame as ``<stem>.csv`` and ``<stem>.pgm``."""
-    export.write_spectrum_csv(spec, stem.parent / f"{stem.name}.csv")
-    export.write_pgm(spec, stem.parent / f"{stem.name}.pgm")
+def _write_frame(grid: np.ndarray, stem: Path) -> None:
+    """Write one frame's grid as ``<stem>.csv`` and ``<stem>.pgm``."""
+    export.write_spectrum_csv(grid, stem.parent / f"{stem.name}.csv")
+    export.write_pgm(grid, stem.parent / f"{stem.name}.pgm")
 
 
 def _processes(n_items: int) -> int:
@@ -283,14 +281,13 @@ def _fork_map(fn, items, processes: int) -> None:
 
 
 def _numbered(track: imaging.SpectrumTrack, outdir: Path,
-              prefix: str) -> list[tuple[music.Spectrum2D, Path]]:
-    """Each row of ``track`` as a :class:`music.Spectrum2D` view, with its stem."""
-    return [(music.Spectrum2D(g), outdir / f"{prefix}_{i:05d}")
-            for i, g in enumerate(track.grids)]
+              prefix: str) -> list[tuple[np.ndarray, Path]]:
+    """Each row of ``track``, checked when the track was built, with its stem."""
+    return [(g, outdir / f"{prefix}_{i:05d}") for i, g in enumerate(track.grids)]
 
 
-def _write_frames(frames: list[tuple[music.Spectrum2D, Path]]) -> None:
-    """Write each ``(frame, stem)`` with :func:`_write_frame` and log the time taken.
+def _write_frames(frames: list[tuple[np.ndarray, Path]]) -> None:
+    """Write each ``(grid, stem)`` with :func:`_write_frame` and log the time taken.
 
     The frames are shared by :func:`_fork_map` among :func:`_processes`
     processes, which call no BLAS.  Call this once, after the last image is
@@ -315,25 +312,13 @@ def _read_track(indir: Path, frame_rate_hz: float) -> imaging.SpectrumTrack:
     return imaging.SpectrumTrack(grids, frame_rate_hz=frame_rate_hz)
 
 
-def _image_capture(path: Path, args,
-                   bundle: scenefile.SceneBundle | None) -> imaging.SpectrumTrack:
+def _image_capture(path: Path, args) -> imaging.SpectrumTrack:
     """The track of the images of every window of the CSIF capture at ``path``,
-    laid out by ``bundle`` (the scene that wrote it) or else by the ``--config``
-    geometry file, if given, then degraded with ``--degraded`` and sanitized
-    unless ``--no-sanitize`` or under 2 subcarriers.  Each step rebinds the one
-    stream, so the capture is held once, and only until its windows are imaged.
-    The processes write the images into rows of one shared anonymous ``mmap``."""
+    on the layout it carries, degraded with ``--degraded`` and sanitized unless
+    ``--no-sanitize`` or under 2 subcarriers.  Each step rebinds the one stream,
+    so the capture is held once, and only until its windows are imaged.  The
+    processes write the images into rows of one shared anonymous ``mmap``."""
     stream = csif.read_csif(path)
-    if bundle is not None:
-        stream = replace(stream, config=bundle.config, geometry=bundle.geometry)
-    elif getattr(args, "config", None) is not None:
-        geometry = scenefile.load_geometry(args.config, stream.config)
-        shape = (geometry.n_rx, geometry.n_tx, geometry.n_subcarriers)
-        if shape != stream.tensors.shape[1:]:
-            raise scenefile.SceneFileError(
-                f"{args.config}: geometry (rx, tx, subcarriers) {shape} does not "
-                f"match the capture's {stream.tensors.shape[1:]}")
-        stream = replace(stream, geometry=geometry)
     degraded = getattr(args, "degraded", False)
     if degraded:
         stream = degrade_stream(stream)
@@ -373,7 +358,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    track = _image_capture(args.infile, args, None)
+    track = _image_capture(args.infile, args)
     _write_frames(_numbered(track, args.out, "spectrum"))
     logger.info("wrote %d spectrum frames to %s", len(track), args.out)
     return EXIT_OK
@@ -392,9 +377,9 @@ def _cmd_aggregate(args) -> int:
     track = _read_track(args.indir, imaging.DEFAULT_FRAME_RATE_HZ)
     agg = _aggregate(track, args.frames)
     if args.out.suffix == ".pgm":
-        export.write_pgm(agg, args.out)
+        export.write_pgm(agg.grid, args.out)
     else:
-        export.write_spectrum_csv(agg, args.out)
+        export.write_spectrum_csv(agg.grid, args.out)
     logger.info("wrote the aggregate to %s", args.out)
     return EXIT_OK
 
@@ -429,14 +414,14 @@ def _cmd_pipeline(args) -> int:
     outdir = args.out
     outdir.mkdir(parents=True, exist_ok=True)
     capture = outdir / "stream.csif"
-    bundle = _simulate_capture(args, capture)
-    track = _image_capture(capture, args, bundle)
+    _simulate_capture(args, capture)
+    track = _image_capture(capture, args)
     enhanced = imaging.enhance_track(track, static_window=args.static_window,
                                      floor_db=args.floor_db, mode=args.static_mode)
     agg = _aggregate(enhanced, args.frames)
     _write_frames(_numbered(track, outdir / "spectra", "spectrum")
                   + _numbered(enhanced, outdir / "enhanced", "enhanced")
-                  + [(agg, outdir / "aggregate")])
+                  + [(agg.grid, outdir / "aggregate")])
     logger.info("pipeline complete: %d spectra, %d enhanced frames", len(track),
                 len(enhanced))
     return EXIT_OK

@@ -3,13 +3,15 @@
 Layout (little-endian):
 
     magic   4 bytes  b"CSIF"
-    version u16      1
+    version u16      2
     n_rx    u16
     n_tx    u16
     n_su    u16
     carrier_hz              f64
     subcarrier_spacing_hz   f64
     packet_count            u64
+    tx_spacing_m            f64
+    rx_positions            n_rx rows of (x, y, z) f64, meters
 
 followed by ``packet_count`` records of :func:`_packet_dtype`: a u64 timestamp
 in nanoseconds and ``n_rx * n_tx * n_su`` little-endian complex64 values
@@ -20,9 +22,11 @@ stream without a copy, so a capture read from CSIF is held at complex64; the
 sanitizer widens it to complex128 a block at a time.  The writer converts and
 writes the stream a block of packets at a time.
 
-The format carries dimensions but not antenna positions or tx spacing; the
-reader reconstructs the default L-shaped half-wavelength layout, and a caller
-with another layout swaps it in with ``dataclasses.replace``.
+A capture thus carries its own antenna layout, and the reader rebuilds the
+exact :class:`~wivision.arraymodel.ChannelConfig` and
+:class:`~wivision.arraymodel.ArrayGeometry` it was written with.  Version 1
+files end the header at ``packet_count``; the reader gives them the default
+L-shaped half-wavelength layout of their dimensions.
 """
 
 from __future__ import annotations
@@ -33,12 +37,12 @@ import struct
 
 import numpy as np
 
-from .arraymodel import ChannelConfig, default_geometry
+from .arraymodel import ArrayGeometry, ChannelConfig, default_geometry
 from .simulate import CsiStream, block_len
 
 MAGIC = b"CSIF"
-VERSION = 1
-_HEADER = struct.Struct("<4sHHHHddQ")
+VERSION = 2
+_HEADER = struct.Struct("<4sHHHHddQ")  # version 2 follows it with the layout block
 
 
 class CsifFormatError(ValueError):
@@ -67,9 +71,9 @@ def write_csif(stream: CsiStream, path) -> None:
     for dim, name in ((n_rx, "n_rx"), (n_tx, "n_tx"), (n_su, "n_su")):
         if not 0 < dim <= 0xFFFF:
             raise ValueError(f"{name}={dim} does not fit the CSIF header")
-    header = _HEADER.pack(MAGIC, VERSION, n_rx, n_tx, n_su,
-                          stream.config.carrier_hz,
-                          stream.config.subcarrier_spacing_hz, len(stream))
+    layout = np.append(stream.config.tx_spacing_m, geom.rx_positions).astype("<f8")
+    header = _HEADER.pack(MAGIC, VERSION, n_rx, n_tx, n_su, stream.config.carrier_hz,
+                          stream.config.subcarrier_spacing_hz, len(stream)) + layout.tobytes()
     step = block_len(geom.dim)
     blocks = [slice(start, start + step) for start in range(0, len(stream), step)]
     records = np.empty(min(step, len(stream)), dtype=_packet_dtype(n_rx, n_tx, n_su))
@@ -99,11 +103,12 @@ def write_csif(stream: CsiStream, path) -> None:
 
 
 def read_csif(path) -> CsiStream:
-    """Parse a CSIF file back into a stream on the default layout of its header.
+    """Parse a CSIF file back into a stream on the layout it carries.
 
     The payload is read into one record array; the stream's tensors are its
-    read-only complex64 field, not a copy.  A bad timestamp or a non-finite
-    value raises :class:`CsifFormatError` naming the first packet at fault.
+    read-only complex64 field, not a copy.  A malformed header or layout block
+    raises :class:`CsifFormatError` naming the field, and a bad timestamp or a
+    non-finite value one naming the first packet at fault.
     """
     with open(path, "rb") as fh:
         head = fh.read(_HEADER.size)
@@ -113,14 +118,23 @@ def read_csif(path) -> CsiStream:
             _HEADER.unpack(head)
         if magic != MAGIC:
             raise CsifFormatError(f"bad magic {magic!r}, expected {MAGIC!r}")
-        if version != VERSION:
+        if version not in (1, VERSION):
             raise CsifFormatError(f"unsupported CSIF version {version}")
         if min(n_rx, n_tx, n_su) < 1:
             raise CsifFormatError(f"invalid dimensions {n_rx}x{n_tx}x{n_su}")
 
+        tx_spacing = positions = None  # version 1: the default layout
+        if version == VERSION:
+            size = 8 + 24 * n_rx
+            layout = fh.read(size)
+            if len(layout) < size:
+                raise CsifFormatError(f"file too short for the layout block of {n_rx} "
+                                      f"rx elements ({len(layout)} of {size} bytes)")
+            tx_spacing, *positions = np.frombuffer(layout, "<f8").tolist()
         for name, value in (("carrier_hz", carrier_hz),
-                            ("subcarrier_spacing_hz", spacing_hz)):
-            if not (math.isfinite(value) and value > 0):
+                            ("subcarrier_spacing_hz", spacing_hz),
+                            ("tx_spacing_m", tx_spacing)):
+            if value is not None and not (math.isfinite(value) and value > 0):
                 raise CsifFormatError(f"header {name} must be finite and positive, "
                                       f"got {value}")
 
@@ -128,7 +142,7 @@ def read_csif(path) -> CsiStream:
             record = _packet_dtype(n_rx, n_tx, n_su)
         except ValueError as exc:  # numpy caps a record at 2 GB
             raise CsifFormatError(f"invalid dimensions {n_rx}x{n_tx}x{n_su}: {exc}") from exc
-        payload = os.fstat(fh.fileno()).st_size - _HEADER.size
+        payload = os.fstat(fh.fileno()).st_size - fh.tell()
         complete, leftover = divmod(payload, record.itemsize)
         if leftover:
             raise CsifFormatError(f"file truncated mid packet {complete}: "
@@ -141,9 +155,11 @@ def read_csif(path) -> CsiStream:
     if len(packets) != n_packets:  # the file shrank while it was read
         raise CsifFormatError(f"file truncated at packet {len(packets)}")
 
-    cfg = ChannelConfig(carrier_hz=carrier_hz, subcarrier_spacing_hz=spacing_hz)
-    geometry = default_geometry(cfg, n_rx=n_rx, n_tx=n_tx, n_subcarriers=n_su)
-    try:
+    cfg = ChannelConfig(carrier_hz, spacing_hz, tx_spacing)
+    try:  # the layout block's rx positions are checked here
+        geometry = (default_geometry(cfg, n_rx=n_rx, n_tx=n_tx, n_subcarriers=n_su)
+                    if positions is None else
+                    ArrayGeometry(np.reshape(positions, (n_rx, 3)), n_tx, n_su))
         return CsiStream(cfg, geometry, packets["ts"].astype(np.int64), packets["iq"])
     except ValueError as exc:
         raise CsifFormatError(str(exc)) from exc

@@ -23,20 +23,27 @@ from .arraymodel import N_ANGLE_BINS
 from .music import Spectrum2D
 
 
-def write_pgm(spec: Spectrum2D, path) -> None:
-    """Binary PGM, linearly scaled so the maximum bin maps to 255.
+def _check_shape(grid: np.ndarray) -> None:
+    if grid.shape != (N_ANGLE_BINS, N_ANGLE_BINS):
+        raise ValueError(f"spectrum grid must be {N_ANGLE_BINS}x{N_ANGLE_BINS}, "
+                         f"got {grid.shape}")
+
+
+def write_pgm(grid: np.ndarray, path) -> None:
+    """Binary PGM of a :attr:`Spectrum2D.grid`-like ``(180, 180)`` array,
+    linearly scaled so the maximum bin maps to 255.
 
     Row 0 is elevation 180 degrees (top of the image); columns run azimuth
     1..180 left to right.
     """
-    g = spec.grid
-    peak = float(g.max())
+    _check_shape(grid)
+    peak = float(grid.max())
     if peak <= 0:
-        scaled = np.zeros_like(g)
+        scaled = np.zeros_like(grid)
     elif math.isfinite(255.0 / peak):
-        scaled = g * (255.0 / peak)
-    else:  # peak below 255 / DBL_MAX: 255 / peak overflows, g / peak cannot
-        scaled = g / peak * 255.0
+        scaled = grid * (255.0 / peak)
+    else:  # peak below 255 / DBL_MAX: 255 / peak overflows, grid / peak cannot
+        scaled = grid / peak * 255.0
     pixels = np.floor(scaled + 0.5).astype(np.uint8)
     raster = pixels.T[::-1]  # (elevation rows top-down, azimuth columns)
     with open(path, "wb") as fh:
@@ -265,14 +272,16 @@ def _csv_rows(values: np.ndarray) -> bytes:
     return b"".join(parts)
 
 
-def write_spectrum_csv(spec: Spectrum2D, path) -> None:
-    """CSV with header ``azimuth,elevation,power``, one row per bin.
+def write_spectrum_csv(grid: np.ndarray, path) -> None:
+    """CSV of a :attr:`Spectrum2D.grid`-like ``(180, 180)`` float64 array, with
+    header ``azimuth,elevation,power`` and one row per bin.
 
     Powers are written exactly as ``repr`` writes them: the shortest string
     that reads back to the same float.
     """
+    _check_shape(grid)
     with open(path, "wb") as fh:
-        fh.write(b"azimuth,elevation,power\n" + _csv_rows(spec.grid.reshape(-1)))
+        fh.write(b"azimuth,elevation,power\n" + _csv_rows(grid.reshape(-1)))
 
 
 def read_spectrum_csv(path) -> Spectrum2D:

@@ -20,10 +20,9 @@ Unknown sections or keys are rejected.  Numbers must be finite; only
 to the defaults of the model they configure.  Persona sections expand into
 walking body-part paths and are appended to any explicit paths.
 
-A geometry file (``wivision spectrum --config``) describes the antenna layout
-of a capture and holds the [geometry] section alone.  Its layout, when it
-gives no ``spacing_m``, is spaced at half the wavelength of the capture's
-carrier.
+The channel and geometry reach the imaging stages through the capture: CSIF
+stores the carrier, the subcarrier spacing, ``tx_spacing_m`` and the rx
+positions that a scene renders with.
 """
 
 from __future__ import annotations
@@ -77,7 +76,15 @@ class SceneBundle:
 
 def load_scene(path) -> SceneBundle:
     """Parse a scene file; it must define at least one path or persona."""
-    sections = _read_sections(path)
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.optionxform = str
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            parser.read_file(fh)
+    except configparser.Error as exc:
+        raise SceneFileError(f"{path}: {exc}") from exc
+    sections = dict(parser.items())
+    sections.pop("DEFAULT", None)
     with _section(path, "channel"):
         cfg = ChannelConfig(**_values(sections.pop("channel", {}), _CHANNEL_KEYS))
     with _section(path, "geometry"):
@@ -111,35 +118,6 @@ def load_scene(path) -> SceneBundle:
     with _section(path):
         scene = replace(sim, paths=tuple(paths))
     return SceneBundle(cfg, geom, scene)
-
-
-def load_geometry(path, cfg: ChannelConfig) -> ArrayGeometry:
-    """The array geometry of a geometry file, for a capture at ``cfg``'s carrier.
-
-    A section other than [geometry] raises :class:`SceneFileError` naming the
-    file and that section.
-    """
-    sections = _read_sections(path)
-    for name in sections:
-        if name != "geometry":
-            raise SceneFileError(f"{path}: [{name}] is not allowed in a geometry "
-                                 "file, which holds only [geometry]")
-    with _section(path, "geometry"):
-        return _parse_geometry(sections.get("geometry", {}), cfg)
-
-
-def _read_sections(path) -> dict:
-    """The sections of an INI file by name, without ``DEFAULT``."""
-    parser = configparser.ConfigParser(interpolation=None)
-    parser.optionxform = str
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            parser.read_file(fh)
-    except configparser.Error as exc:
-        raise SceneFileError(f"{path}: {exc}") from exc
-    sections = dict(parser.items())
-    sections.pop("DEFAULT", None)
-    return sections
 
 
 @contextmanager

@@ -13,14 +13,16 @@
 * Rendering and sanitizing a whole capture at once, against which the
   blocked ``wivision.simulate.simulate`` and
   ``wivision.sanitize.sanitize_tensors`` are checked bit for bit.
-* Reading a whole CSIF file as bytes and copying its payload to complex128,
-  against which the stages fed by ``wivision.csif.read_csif``, which holds
-  the payload at complex64, are checked bit for bit.
+* Reading a whole CSIF file as bytes, its layout block with ``struct`` and
+  ``frombuffer``, and copying its payload to complex128, against which the
+  stages fed by ``wivision.csif.read_csif``, which holds the payload at
+  complex64, are checked bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +33,6 @@ from wivision.arraymodel import (
     ArrayGeometry,
     ChannelConfig,
     PathHypothesis,
-    default_geometry,
     direction_vector,
     steering_tensor,
     subcarrier_factors,
@@ -211,11 +212,17 @@ def sanitize_tensors(tensors: np.ndarray) -> np.ndarray:
 
 
 def read_csif(path) -> CsiStream:
-    """A valid CSIF file read whole as bytes, its payload copied to complex128."""
+    """A valid CSIF version 2 file read whole as bytes, its payload copied to
+    complex128."""
     with open(path, "rb") as fh:
         raw = fh.read()
-    _, _, n_rx, n_tx, n_su, carrier_hz, spacing_hz, _ = _HEADER.unpack_from(raw)
-    packets = np.frombuffer(raw, dtype=_packet_dtype(n_rx, n_tx, n_su), offset=_HEADER.size)
-    cfg = ChannelConfig(carrier_hz=carrier_hz, subcarrier_spacing_hz=spacing_hz)
-    return CsiStream(cfg, default_geometry(cfg, n_rx=n_rx, n_tx=n_tx, n_subcarriers=n_su),
-                     packets["ts"].astype(np.int64), packets["iq"].astype(complex))
+    _, version, n_rx, n_tx, n_su, carrier_hz, spacing_hz, _ = _HEADER.unpack_from(raw)
+    assert version == 2
+    (tx_spacing_m,) = struct.unpack_from("<d", raw, _HEADER.size)
+    positions = np.frombuffer(raw, dtype="<f8", count=3 * n_rx, offset=_HEADER.size + 8)
+    packets = np.frombuffer(raw, dtype=_packet_dtype(n_rx, n_tx, n_su),
+                            offset=_HEADER.size + 8 + positions.nbytes)
+    cfg = ChannelConfig(carrier_hz, spacing_hz, tx_spacing_m)
+    geometry = ArrayGeometry(positions.reshape(n_rx, 3), n_tx, n_su)
+    return CsiStream(cfg, geometry, packets["ts"].astype(np.int64),
+                     packets["iq"].astype(complex))

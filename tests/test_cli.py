@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 
 import wivision
-from wivision import Spectrum2D, cli, imaging, music
-from wivision.csif import packet_size_bytes
+from wivision import cli, imaging, music
+from wivision.csif import _HEADER, packet_size_bytes, read_csif
 from wivision.export import write_spectrum_csv
 from wivision.scenefile import load_scene
 from wivision.cli import EXIT_INPUT, EXIT_OK, EXIT_USAGE, main
@@ -117,7 +117,9 @@ def non_finite_csif(scene_file, tmp_path):
     path = tmp_path / "nan.csif"
     assert run("simulate", "--scene", scene_file, "--out", path) == EXIT_OK
     raw = bytearray(path.read_bytes())
-    struct.pack_into("<f", raw, 36 + 3 * packet_size_bytes(3, 2, 8) + 8, np.nan)
+    per = packet_size_bytes(3, 2, 8)
+    payload = len(raw) - len(read_csif(path)) * per
+    struct.pack_into("<f", raw, payload + 3 * per + 8, np.nan)
     path.write_bytes(bytes(raw))
     return path
 
@@ -167,8 +169,7 @@ def three_spectra(tmp_path):
     indir = tmp_path / "spectra"
     indir.mkdir()
     for i in range(3):
-        write_spectrum_csv(Spectrum2D(np.full((180, 180), 1.0 + i)),
-                           indir / f"spectrum_{i:05d}.csv")
+        write_spectrum_csv(np.full((180, 180), 1.0 + i), indir / f"spectrum_{i:05d}.csv")
     return indir
 
 
@@ -178,6 +179,24 @@ class TestErrorReports:
         assert run("spectrum", "--in", path, "--out", tmp_path / "o") == EXIT_INPUT
         assert capsys.readouterr().err == (
             "wivision: input error: packet 3: tensor contains non-finite values\n")
+
+    @pytest.mark.parametrize("index, value, reason", [
+        (0, np.inf, "header tx_spacing_m must be finite and positive, got inf"),
+        (1 + 3 * 1 + 1, -0.5, "rx positions must lie in the y == 0 plane"),
+    ], ids=["tx-spacing", "off-plane"])
+    def test_malformed_layout_block_is_2(self, scene_file, tmp_path, capsys, index,
+                                         value, reason):
+        """``index`` counts the f64 values of the layout block: the tx spacing,
+        then x, y, z of each rx element."""
+        path = tmp_path / "layout.csif"
+        assert run("simulate", "--scene", scene_file, "--out", path) == EXIT_OK
+        raw = bytearray(path.read_bytes())
+        struct.pack_into("<d", raw, _HEADER.size + 8 * index, value)
+        path.write_bytes(bytes(raw))
+        out = tmp_path / "o"
+        assert run("spectrum", "--in", path, "--out", out) == EXIT_INPUT
+        assert capsys.readouterr().err == f"wivision: input error: {reason}\n"
+        assert not out.exists()
 
     def test_verbose_logs_traceback(self, scene_file, tmp_path):
         path = non_finite_csif(scene_file, tmp_path)
@@ -435,30 +454,25 @@ class TestPipelineCommands:
         assert (out / "aggregate.csv").exists()
         assert (out / "aggregate.pgm").exists()
 
-    @pytest.mark.parametrize("offsets, frames, spacing", [
-        ((), 2, None), (("--inject-offsets",), 2, None), ((), 5, None),
-        ((), 2, 0.02),
-    ], ids=["plain", "offsets", "frames-above-track", "scene-layout"])
-    def test_pipeline_equals_its_stages(self, tmp_path, offsets, frames, spacing):
+    @pytest.mark.parametrize("offsets, frames, layout", [
+        ((), 2, "[geometry]\n"), (("--inject-offsets",), 2, "[geometry]\n"),
+        ((), 5, "[geometry]\n"), ((), 2, "[geometry]\nspacing_m = 0.02\n"),
+        ((), 2, "[channel]\ntx_spacing_m = 0.02\n\n[geometry]\n"),
+    ], ids=["plain", "offsets", "frames-above-track", "scene-layout", "scene-tx-spacing"])
+    def test_pipeline_equals_its_stages(self, tmp_path, offsets, frames, layout):
         """``pipeline`` writes, byte for byte, what ``simulate``, ``spectrum``,
         ``enhance`` and ``aggregate`` write when run in turn on its flags; a
-        scene's own layout reaches ``spectrum`` as a ``--config`` file."""
-        geometry, simulation = SCENE.split("[simulation]")
-        layout = ()
-        if spacing is not None:
-            geometry += f"spacing_m = {spacing}\n"
-            (tmp_path / "geometry.ini").write_text(geometry)
-            layout = ("--config", tmp_path / "geometry.ini")
+        scene's own rx layout and tx spacing reach ``spectrum`` in the capture."""
         scene = tmp_path / "scene.ini"
-        scene.write_text(geometry + "[simulation]" + simulation)
+        scene.write_text(SCENE.replace("[geometry]\n", layout))
         out, stages = tmp_path / "pipeline", tmp_path / "stages"
         assert run("pipeline", "--scene", scene, "--out", out, *offsets, *SCAN,
                    "--static-window", 3, "--frames", frames) == EXIT_OK
         stages.mkdir()
         capture = stages / "stream.csif"
         assert run("simulate", "--scene", scene, "--out", capture, *offsets) == EXIT_OK
-        assert run("spectrum", "--in", capture, "--out", stages / "spectra", *SCAN,
-                   *layout) == EXIT_OK
+        assert run("spectrum", "--in", capture, "--out", stages / "spectra",
+                   *SCAN) == EXIT_OK
         assert run("enhance", "--in", stages / "spectra", "--out", stages / "enhanced",
                    "--static-window", 3) == EXIT_OK
         for name in ("aggregate.csv", "aggregate.pgm"):
@@ -517,96 +531,26 @@ class TestPipelineCommands:
                    "--inject-offsets") == EXIT_OK
         assert a.read_bytes() == b.read_bytes()
 
-    def test_config_geometry_override(self, scene_file, tmp_path):
-        csif_path = tmp_path / "stream.csif"
-        run("simulate", "--scene", scene_file, "--out", csif_path)
-        # a geometry-only file is a valid --config
-        override = tmp_path / "override.ini"
-        override.write_text(
-            "[geometry]\narm_x = 2\narm_z = 2\nn_tx = 2\nn_subcarriers = 8\n")
-        outdir = tmp_path / "cfg"
-        assert run("spectrum", "--config", override, "--in", csif_path,
-                   "--window", 100, "--stride", 200, "--out", outdir,
-                   "--tau-grid-ns", "0:40:10", "--aod-grid-deg", "90") == EXIT_OK
-        # a geometry that contradicts the CSIF header is an input error
-        bad = tmp_path / "bad.ini"
-        bad.write_text("[geometry]\narm_x = 4\narm_z = 4\nn_tx = 2\n"
-                       "n_subcarriers = 8\n")
-        assert run("spectrum", "--config", bad, "--in", csif_path,
-                   "--out", tmp_path / "x") == EXIT_INPUT
 
-
-# one 100-packet window of the default 810-element array at a 2.4 GHz carrier
-CAPTURE_2G4 = """
-[channel]
-carrier_hz = 2.4e9
-
-[simulation]
-snr_db = 25
-duration_s = 0.1
-seed = 3
-
-[path:p]
-azimuth_deg = 70
-elevation_deg = 80
-tof_ns = 10
-aod_deg = 80
-"""
-
-
-@pytest.fixture(scope="module")
-def capture_2g4(tmp_path_factory):
-    root = tmp_path_factory.mktemp("capture_2g4")
-    (root / "scene.ini").write_text(CAPTURE_2G4)
-    assert run("simulate", "--scene", root / "scene.ini",
-               "--out", root / "stream.csif") == EXIT_OK
-    return root / "stream.csif"
-
-
-G = object()  # stands for the geometry file in an argument list
-
-
-@pytest.mark.parametrize("text, argv, code, err", [
-    ("[geometry]\nn_tx = 3\n", ("spectrum", "--config", G), EXIT_OK, ""),
-    ("[channel]\ncarrier_hz = 2.4e9\n", ("spectrum", "--config", G), EXIT_INPUT,
-     "wivision: input error: {g}: [channel] is not allowed in a geometry file, "
-     "which holds only [geometry]\n"),
-    ("[geometry]\n\n[simulation]\nseed = 1\n", ("spectrum", "--config", G),
-     EXIT_INPUT, "wivision: input error: {g}: [simulation] is not allowed in a "
-     "geometry file, which holds only [geometry]\n"),
-    ("[path:x]\nazimuth_deg = 90\n", ("spectrum", "--config", G), EXIT_INPUT,
-     "wivision: input error: {g}: [path:x] is not allowed in a geometry file, "
-     "which holds only [geometry]\n"),
-    ("[persona:x]\ngait_period_s = 1\n", ("spectrum", "--config", G), EXIT_INPUT,
-     "wivision: input error: {g}: [persona:x] is not allowed in a geometry file, "
-     "which holds only [geometry]\n"),
-    ("[geometry]\narm_x = 4\narm_z = 4\n", ("spectrum", "--config", G), EXIT_INPUT,
-     "wivision: input error: {g}: geometry (rx, tx, subcarriers) (7, 3, 30) does "
-     "not match the capture's (9, 3, 30)\n"),
-    ("[geometry]\nn_tx = 3\n", ("--config", G, "spectrum"), EXIT_USAGE, None),
-    ("", ("spectrum", "--reduce", "max"), EXIT_USAGE,
+@pytest.mark.parametrize("argv, err", [
+    (("--config", "g.ini", "spectrum"), None),
+    (("spectrum", "--config", "g.ini"),
+     "wivision: error: unrecognized arguments: --config g.ini\n"),
+    (("spectrum", "--reduce", "max"),
      "wivision: error: unrecognized arguments: --reduce max\n"),
-], ids=["geometry_at_capture_carrier", "channel", "simulation", "path", "persona",
-        "size_mismatch", "global_flag", "reduce"])
-def test_spectrum_config_file(capture_2g4, tmp_path, capsys, text, argv, code, err):
-    g = tmp_path / "g.ini"
-    g.write_text(text)
+], ids=["global_flag", "config", "reduce"])
+def test_spectrum_config_file(tmp_path, capsys, argv, err):
+    """``spectrum`` takes its antenna layout from the capture alone, so a
+    ``--config`` file is a usage error, raised before the capture is read, as
+    is the deleted ``--reduce``."""
     out = tmp_path / "out"
-    args = [g if a is G else a for a in argv]
-    grids = ("--tau-grid-ns", "0,10", "--aod-grid-deg", "80")
-    assert run(*args, "--in", capture_2g4, "--out", out, *grids) == code
+    assert run(*argv, "--in", tmp_path / "stream.csif", "--out", out) == EXIT_USAGE
     stderr = capsys.readouterr().err
     if err is None:
         assert stderr.startswith("wivision: error: ")
     else:
-        assert stderr == err.format(g=g)
-    if code == EXIT_OK:
-        # the file's layout is spaced at the capture's carrier, as the default is
-        plain = tmp_path / "plain"
-        assert run("spectrum", "--in", capture_2g4, "--out", plain, *grids) == EXIT_OK
-        assert tree(out) == tree(plain) and len(tree(out)) == 2
-    else:
-        assert not out.exists()
+        assert stderr == err
+    assert not out.exists()
 
 
 def test_readme_scene_runs_at_defaults(tmp_path):
@@ -822,7 +766,7 @@ class TestReidCommand:
                 grid[89, el_lo - 1] = 10.0
                 if (i % period) < period // 2:
                     grid[89, el_hi - 1] = 8.0
-                write_spectrum_csv(Spectrum2D(grid), d / f"enhanced_{i:05d}.csv")
+                write_spectrum_csv(grid, d / f"enhanced_{i:05d}.csv")
 
         gallery = tmp_path / "gallery"
         probes = tmp_path / "probes"

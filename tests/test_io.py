@@ -34,7 +34,7 @@ from wivision import (
     write_csif,
 )
 from wivision import scenefile
-from wivision.csif import packet_size_bytes
+from wivision.csif import _HEADER, packet_size_bytes
 from wivision.export import _csv_rows, read_spectrum_csv, write_pgm, write_spectrum_csv
 from wivision.simulate import block_len
 
@@ -46,15 +46,20 @@ def stream(cfg, small_geom):
     return simulate(scene, cfg, small_geom)
 
 
+def payload_offset(path, stream) -> int:
+    """Where the packet records of the CSIF file at ``path``, holding ``stream``, start."""
+    return path.stat().st_size - len(stream) * packet_size_bytes(*stream.tensors.shape[1:])
+
+
 class TestCsif:
     def test_roundtrip_preserves_f32_payload(self, stream, tmp_path):
         path = tmp_path / "s.csif"
         write_csif(stream, path)
-        back = replace(read_csif(path), geometry=stream.geometry)
+        back = read_csif(path)
         np.testing.assert_array_equal(back.tensors.astype(np.complex64),
                                       stream.tensors.astype(np.complex64))
         np.testing.assert_array_equal(back.timestamps_ns, stream.timestamps_ns)
-        assert back.config.carrier_hz == stream.config.carrier_hz
+        assert back.config == stream.config
 
     def test_second_write_is_byte_identical(self, stream, tmp_path):
         a, b = tmp_path / "a.csif", tmp_path / "b.csif"
@@ -80,7 +85,8 @@ class TestCsif:
         stream = simulate(scene, cfg, geom)
         path = tmp_path / "full.csif"
         write_csif(stream, path)
-        assert path.stat().st_size == 36 + 2 * 6488
+        # the version 1 header, the 9-element layout block, then the packets
+        assert path.stat().st_size == 36 + 8 + 9 * 24 + 2 * 6488
 
     def test_truncated_file_names_packet(self, stream, tmp_path):
         path = tmp_path / "t.csif"
@@ -105,7 +111,8 @@ class TestCsif:
         raw = bytearray(path.read_bytes())
         per = packet_size_bytes(*stream.tensors.shape[1:])
         # overwrite packet 1's timestamp with packet 0's
-        struct.pack_into("<Q", raw, 36 + per, int(stream.timestamps_ns[0]))
+        struct.pack_into("<Q", raw, payload_offset(path, stream) + per,
+                         int(stream.timestamps_ns[0]))
         path.write_bytes(bytes(raw))
         with pytest.raises(CsifFormatError, match="timestamp"):
             read_csif(path)
@@ -119,13 +126,78 @@ class TestCsif:
         back = read_csif(path)
         np.testing.assert_allclose(back.geometry.rx_positions, geom.rx_positions)
 
+    def test_layout_roundtrip(self, tmp_path):
+        """A version 2 file gives back its exact channel and antenna layout."""
+        cfg = ChannelConfig(carrier_hz=2.437e9, tx_spacing_m=0.02)
+        geom = ArrayGeometry(np.array([[0.0, 0.0, 0.0], [0.0311, 0.0, 0.0],
+                                       [0.07, 0.0, -0.013], [-1e-3, 0.0, 0.0625]]),
+                             n_tx=2, n_subcarriers=5)
+        stream = simulate(Scene((ScenePath(PathHypothesis(70, 60, 20e-9, 80)),),
+                                duration_s=0.005), cfg, geom)
+        path = tmp_path / "layout.csif"
+        write_csif(stream, path)
+        back = read_csif(path)
+        assert back.config == cfg and back.config.tx_spacing_m == 0.02
+        assert back.geometry.rx_positions.tobytes() == geom.rx_positions.tobytes()
+        assert (back.geometry.n_tx, back.geometry.n_subcarriers) == (2, 5)
+        assert payload_offset(path, stream) == 36 + 8 + 4 * 24
+
+    def test_version_1_reads_on_default_layout(self, cfg, stream, tmp_path):
+        """A version 1 file, which has no layout block, reads on the default
+        L-array of its dimensions at half-wavelength tx spacing."""
+        path = tmp_path / "v2.csif"
+        write_csif(stream, path)
+        records = path.read_bytes()[payload_offset(path, stream):]
+        v1 = tmp_path / "v1.csif"
+        v1.write_bytes(struct.pack("<4sHHHHddQ", b"CSIF", 1, 3, 2, 8, cfg.carrier_hz,
+                                   cfg.subcarrier_spacing_hz, len(stream)) + records)
+        back = read_csif(v1)
+        assert back.config == cfg and back.config.tx_spacing_m == cfg.wavelength_m / 2
+        np.testing.assert_array_equal(back.geometry.rx_positions,
+                                      default_geometry(cfg, n_rx=3).rx_positions)
+        assert back.tensors.tobytes() == read_csif(path).tensors.tobytes()
+
+    @pytest.mark.parametrize("index, value, message", [
+        (0, math.nan, "header tx_spacing_m must be finite and positive, got nan"),
+        (0, math.inf, "header tx_spacing_m must be finite and positive, got inf"),
+        (0, -math.inf, "header tx_spacing_m must be finite and positive, got -inf"),
+        (0, 0.0, "header tx_spacing_m must be finite and positive, got 0.0"),
+        (0, -0.02, "header tx_spacing_m must be finite and positive, got -0.02"),
+        (1 + 3 * 2 + 0, math.nan, "rx positions must be finite"),
+        (1 + 3 * 1 + 2, -math.inf, "rx positions must be finite"),
+        (1 + 3 * 2 + 1, 0.01, r"rx positions must lie in the y == 0 plane"),
+    ], ids=["tx-nan", "tx-inf", "tx-minus-inf", "tx-zero", "tx-negative",
+            "position-nan", "position-inf", "off-plane"])
+    def test_malformed_layout_names_field(self, stream, tmp_path, index, value, message):
+        """``index`` counts the f64 values of the layout block: the tx spacing,
+        then x, y, z of each rx element."""
+        path = tmp_path / "layout.csif"
+        write_csif(stream, path)
+        raw = bytearray(path.read_bytes())
+        struct.pack_into("<d", raw, _HEADER.size + 8 * index, value)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CsifFormatError, match=f"^{re.escape(message)}$"):
+            read_csif(path)
+
+    @pytest.mark.parametrize("kept", [0, 8, 79])
+    def test_short_layout_block(self, stream, tmp_path, kept):
+        path = tmp_path / "short.csif"
+        write_csif(stream, path)
+        path.write_bytes(path.read_bytes()[:_HEADER.size + kept])
+        with pytest.raises(CsifFormatError, match=re.escape(
+                f"file too short for the layout block of 3 rx elements ({kept} of "
+                "80 bytes)")):
+            read_csif(path)
+
 
 def write_csif_per_packet(stream, path):
     """The per-packet writer the record-array writer replaced, kept as an oracle."""
     geom = stream.geometry
-    header = struct.pack("<4sHHHHddQ", b"CSIF", 1, geom.n_rx, geom.n_tx,
+    header = struct.pack("<4sHHHHddQd", b"CSIF", 2, geom.n_rx, geom.n_tx,
                          geom.n_subcarriers, stream.config.carrier_hz,
-                         stream.config.subcarrier_spacing_hz, len(stream))
+                         stream.config.subcarrier_spacing_hz, len(stream),
+                         stream.config.tx_spacing_m)
+    header += struct.pack(f"<{3 * geom.n_rx}d", *geom.rx_positions.reshape(-1))
     tensors = stream.tensors.reshape(len(stream), -1)
     iq = np.empty((len(stream), tensors.shape[1] * 2), dtype="<f4")
     iq[:, 0::2] = tensors.real
@@ -153,9 +225,10 @@ class TestCsifRecordLayout:
         write_csif(offset_stream, path)
         n, shape = len(offset_stream), offset_stream.tensors.shape
         record = np.dtype([("ts", "<u8"), ("iq", "<f4", (2 * math.prod(shape[1:]),))])
-        iq = np.frombuffer(path.read_bytes()[36:], dtype=record)["iq"].astype(np.float64)
+        iq = np.frombuffer(path.read_bytes()[payload_offset(path, offset_stream):],
+                           dtype=record)["iq"].astype(np.float64)
         expected = (iq[:, 0::2] + 1j * iq[:, 1::2]).reshape(shape)
-        back = replace(read_csif(path), geometry=offset_stream.geometry)
+        back = read_csif(path)
         assert np.array_equal(back.tensors, expected)
         assert len(back) == n and back.tensors.dtype == np.complex64
         assert not back.tensors.flags.writeable
@@ -168,7 +241,8 @@ class TestCsifRecordLayout:
         per = packet_size_bytes(*stream.tensors.shape[1:])
         for packet in (3, 5):
             # the imaginary part of the packet's second value
-            struct.pack_into("<f", raw, 36 + packet * per + 8 + 12, value)
+            struct.pack_into("<f", raw, payload_offset(path, stream) + packet * per + 8 + 12,
+                             value)
         path.write_bytes(bytes(raw))
         with pytest.raises(CsifFormatError, match="packet 3: tensor contains non-finite"):
             read_csif(path)
@@ -207,7 +281,8 @@ def capture_file(tmp_path_factory):
 
 class TestCsifMemory:
     def test_read_peak_is_the_payload(self, capture_file):
-        payload = capture_file.stat().st_size - 36
+        n, *dims = reference.read_csif(capture_file).tensors.shape
+        payload = n * packet_size_bytes(*dims)
         tracemalloc.start()
         try:
             back = read_csif(capture_file)
@@ -309,7 +384,7 @@ class TestCsvFormatter:
 class TestSpectrumExport:
     def test_all_zero_pgm(self, tmp_path):
         path = tmp_path / "z.pgm"
-        write_pgm(Spectrum2D(np.zeros((180, 180))), path)
+        write_pgm(np.zeros((180, 180)), path)
         raw = path.read_bytes()
         header, pixels = raw.split(b"\n255\n", 1)
         assert header == b"P5\n180 180"
@@ -319,7 +394,7 @@ class TestSpectrumExport:
         grid = np.zeros((180, 180))
         grid[59, 44] = 7.5  # azimuth 60, elevation 45
         path = tmp_path / "p.pgm"
-        write_pgm(Spectrum2D(grid), path)
+        write_pgm(grid, path)
         pixels = np.frombuffer(path.read_bytes().split(b"\n255\n", 1)[1],
                                dtype=np.uint8).reshape(180, 180)
         assert (pixels == 255).sum() == 1
@@ -333,17 +408,24 @@ class TestSpectrumExport:
         grid[59, 44] = 1e-310
         grid[10, 10] = 0.5e-310
         path = tmp_path / "faint.pgm"
-        write_pgm(Spectrum2D(grid), path)
+        write_pgm(grid, path)
         pixels = np.frombuffer(path.read_bytes().split(b"\n255\n", 1)[1],
                                dtype=np.uint8).reshape(180, 180)
         assert pixels[180 - 45, 59] == 255
         assert pixels[180 - 11, 10] == 128
         assert (pixels > 0).sum() == 2
 
+    @pytest.mark.parametrize("write", [write_pgm, write_spectrum_csv])
+    def test_writers_check_the_grid_shape(self, tmp_path, write):
+        with pytest.raises(ValueError, match=re.escape(
+                "spectrum grid must be 180x180, got (180, 179)")):
+            write(np.ones((180, 179)), tmp_path / "frame")
+        assert not (tmp_path / "frame").exists()
+
     def test_csv_row_count_and_roundtrip(self, tmp_path, rng):
         spec = Spectrum2D(rng.uniform(0, 9, (180, 180)))
         path = tmp_path / "s.csv"
-        write_spectrum_csv(spec, path)
+        write_spectrum_csv(spec.grid, path)
         lines = path.read_text().splitlines()
         assert lines[0] == "azimuth,elevation,power"
         assert len(lines) == 1 + 32400
@@ -367,7 +449,7 @@ class TestSpectrumExport:
         edges = edge_floats()
         grid.flat[6:6 + edges.size] = edges
         spec = Spectrum2D(grid)
-        write_spectrum_csv(spec, tmp_path / "fast.csv")
+        write_spectrum_csv(spec.grid, tmp_path / "fast.csv")
         row_loop(spec, tmp_path / "loop.csv")
         assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "loop.csv").read_bytes()
 

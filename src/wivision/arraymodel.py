@@ -18,6 +18,7 @@ elevation from the vertical axis, with the look direction
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +44,8 @@ class ChannelConfig:
     """Carrier and OFDM constants shared by simulator and estimator.
 
     ``tx_spacing_m`` defaults to half the carrier wavelength when omitted.
+    Each field must be finite and positive; a ValueError names the first
+    that is not, ``tx_spacing_m`` checked after its default is filled in.
     """
 
     carrier_hz: float = DEFAULT_CARRIER_HZ
@@ -50,16 +53,12 @@ class ChannelConfig:
     tx_spacing_m: float | None = None
 
     def __post_init__(self):
-        if not self.carrier_hz > 0:
-            raise ValueError(f"carrier_hz must be positive, got {self.carrier_hz}")
-        if not self.subcarrier_spacing_hz > 0:
-            raise ValueError(
-                f"subcarrier_spacing_hz must be positive, got {self.subcarrier_spacing_hz}"
-            )
-        if self.tx_spacing_m is None:
-            object.__setattr__(self, "tx_spacing_m", self.wavelength_m / 2.0)
-        if not self.tx_spacing_m > 0:
-            raise ValueError(f"tx_spacing_m must be positive, got {self.tx_spacing_m}")
+        for name in ("carrier_hz", "subcarrier_spacing_hz", "tx_spacing_m"):
+            if name == "tx_spacing_m" and self.tx_spacing_m is None:
+                object.__setattr__(self, name, self.wavelength_m / 2.0)
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
 
     @property
     def wavelength_m(self) -> float:

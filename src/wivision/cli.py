@@ -37,12 +37,7 @@ import numpy as np
 from . import csif, export, imaging, music, reid, scenefile
 from .arraymodel import N_ANGLE_BINS
 from .sanitize import sanitize as sanitize_stream
-from .simulate import (
-    DegenerateSceneError,
-    degrade_stream,
-    inject_phase_offsets,
-    simulate as run_simulation,
-)
+from .simulate import degrade_stream, inject_phase_offsets, simulate as run_simulation
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -105,7 +100,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", type=Path, required=True, help="output directory")
     p.add_argument("--degraded", action="store_true",
                    help="1 packet / 1 tx / 1 subcarrier configuration")
-    p.add_argument("--sources", type=int, default=None,
+    p.add_argument("--sources", type=_count, default=None,
                    help="fix the source count instead of estimating it")
 
     p = sub.add_parser("enhance", parents=[enhance],
@@ -436,10 +431,6 @@ _COMMANDS = {
     "pipeline": _cmd_pipeline,
 }
 
-_INPUT_ERRORS = (FileNotFoundError, IsADirectoryError, PermissionError,
-                 csif.CsifFormatError, scenefile.SceneFileError,
-                 DegenerateSceneError, ValueError, KeyError, OSError)
-
 
 def _fail(code: int, kind: str, exc: Exception) -> int:
     """Report ``exc`` in one stderr line; with -v, also log its traceback."""
@@ -495,7 +486,7 @@ def main(argv=None) -> int:
         return _fail(EXIT_NUMERIC, "numerical failure", exc)
     except ChildProcessError as exc:  # an OSError, but no fault of the input
         return _fail(EXIT_INPUT, "worker failure", exc)
-    except _INPUT_ERRORS as exc:
+    except (ValueError, OSError) as exc:
         return _fail(EXIT_INPUT, "input error", exc)
 
 

@@ -31,7 +31,6 @@ L-shaped half-wavelength layout of their dimensions.
 
 from __future__ import annotations
 
-import math
 import os
 import struct
 
@@ -131,12 +130,10 @@ def read_csif(path) -> CsiStream:
                 raise CsifFormatError(f"file too short for the layout block of {n_rx} "
                                       f"rx elements ({len(layout)} of {size} bytes)")
             tx_spacing, *positions = np.frombuffer(layout, "<f8").tolist()
-        for name, value in (("carrier_hz", carrier_hz),
-                            ("subcarrier_spacing_hz", spacing_hz),
-                            ("tx_spacing_m", tx_spacing)):
-            if value is not None and not (math.isfinite(value) and value > 0):
-                raise CsifFormatError(f"header {name} must be finite and positive, "
-                                      f"got {value}")
+        try:
+            cfg = ChannelConfig(carrier_hz, spacing_hz, tx_spacing)
+        except ValueError as exc:
+            raise CsifFormatError(f"header {exc}") from exc
 
         try:
             record = _packet_dtype(n_rx, n_tx, n_su)
@@ -155,7 +152,6 @@ def read_csif(path) -> CsiStream:
     if len(packets) != n_packets:  # the file shrank while it was read
         raise CsifFormatError(f"file truncated at packet {len(packets)}")
 
-    cfg = ChannelConfig(carrier_hz, spacing_hz, tx_spacing)
     try:  # the layout block's rx positions are checked here
         geometry = (default_geometry(cfg, n_rx=n_rx, n_tx=n_tx, n_subcarriers=n_su)
                     if positions is None else

@@ -107,7 +107,10 @@ def enhance_track(track: SpectrumTrack, static_window: int = DEFAULT_STATIC_WIND
     grids = track.grids
     diff = np.empty((len(grids) - first,) + grids.shape[1:])
     if mode == "global":
-        diff[:] = np.median(grids, axis=0)
+        # the median partitions diff in place of its own copy of the track;
+        # the subtraction below overwrites diff anyway
+        diff[:] = grids
+        diff[:] = np.median(diff, axis=0, overwrite_input=True)
     else:
         for j in range(len(diff)):
             diff[j] = np.median(grids[j:j + static_window], axis=0)

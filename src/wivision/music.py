@@ -54,6 +54,8 @@ DEFAULT_WINDOW_LEN = 100
 DEFAULT_STRIDE = 33
 DEFAULT_TOF_GRID_S = np.arange(16) * 5e-9
 DEFAULT_AOD_GRID_DEG = np.arange(20.0, 161.0, 20.0)
+PEAK_PROMINENCE_DB = 6.0
+MAX_PEAKS = 10
 
 _EIGENVALUE_FLOOR_REL = 1e-9
 _THRESHOLD_FACTOR = 10.0
@@ -352,11 +354,6 @@ def spectrum(subspace: NoiseSubspace, grids: GridSpec | None, cfg: ChannelConfig
     floor = dim * _DENOMINATOR_FLOOR_REL
     image = np.empty((n, n))                                  # [el, az]
 
-    if basis.shape[1] == 0:
-        # Every direction counts as noise: a^H E_N E_N^H a = |a|^2 = dim.
-        image.fill(1.0 / dim * (grids.tof_grid_s.size * grids.aod_grid_deg.size))
-        return Spectrum2D(image, timestamp_ns)
-
     diag_sums, forms = _basis_pair_forms(basis, cfg, geom, grids)
     n_w = forms.shape[1]
     n_lags = (table.shape[2] - 1) // 2
@@ -384,13 +381,12 @@ def spectrum(subspace: NoiseSubspace, grids: GridSpec | None, cfg: ChannelConfig
     return Spectrum2D(np.ascontiguousarray(image.T), timestamp_ns)
 
 
-def detect_peaks(spec: Spectrum2D, min_prominence_db: float = 6.0,
-                 max_peaks: int = 10) -> list[tuple[int, int, float]]:
+def detect_peaks(spec: Spectrum2D) -> list[tuple[int, int, float]]:
     """Local maxima of a spectrum as (azimuth_deg, elevation_deg, power).
 
     A bin qualifies if it strictly exceeds all 8 neighbors and sits at least
-    ``min_prominence_db`` above the spectrum median; results are sorted by
-    power, strongest first, truncated to ``max_peaks``.
+    ``PEAK_PROMINENCE_DB`` above the spectrum median; results are sorted by
+    power, strongest first, truncated to ``MAX_PEAKS``.
     """
     g = spec.grid
     padded = np.full((g.shape[0] + 2, g.shape[1] + 2), -np.inf)
@@ -405,10 +401,10 @@ def detect_peaks(spec: Spectrum2D, min_prominence_db: float = 6.0,
             is_peak &= g > shifted
     med = float(np.median(g))
     if med > 0:
-        is_peak &= g >= med * 10.0 ** (min_prominence_db / 10.0)
+        is_peak &= g >= med * 10.0 ** (PEAK_PROMINENCE_DB / 10.0)
     else:
         is_peak &= g > 0
     az_idx, el_idx = np.nonzero(is_peak)
     powers = g[az_idx, el_idx]
-    order = np.argsort(-powers, kind="stable")[:max_peaks]
+    order = np.argsort(-powers, kind="stable")[:MAX_PEAKS]
     return [(int(az_idx[i]) + 1, int(el_idx[i]) + 1, float(powers[i])) for i in order]

@@ -320,22 +320,19 @@ def simulate(scene: Scene, cfg: ChannelConfig, geom: ArrayGeometry) -> CsiStream
     return CsiStream(cfg, geom, ts_ns, signal)
 
 
-def inject_phase_offsets(stream: CsiStream, seed: int,
-                         offset_range: tuple[float, float] = (0.0, 2.0 * np.pi),
-                         slope_range: tuple[float, float] | None = None) -> CsiStream:
+def inject_phase_offsets(stream: CsiStream, seed: int) -> CsiStream:
     """Apply per-packet STO/PDD phase errors, identical across antenna pairs.
 
     Subcarrier ``n`` of every (rx, tx) pair in packet ``p`` is multiplied by
-    ``exp(-1j * (eta0_p + eta1_p * n))`` with (eta0, eta1) drawn uniformly per
-    packet from the given ranges.  Default slope range is +-pi/n_subcarriers.
+    ``exp(-1j * (eta0_p + eta1_p * n))``.  From ``SeedSequence(seed)``, every
+    eta0 is drawn uniformly from [0, 2 pi), then every eta1 from
+    +-pi/n_subcarriers.
     """
     n_su = stream.geometry.n_subcarriers
-    if slope_range is None:
-        slope_range = (-np.pi / n_su, np.pi / n_su)
     n = len(stream)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    eta0 = rng.uniform(offset_range[0], offset_range[1], n)
-    eta1 = rng.uniform(slope_range[0], slope_range[1], n)
+    eta0 = rng.uniform(0.0, 2.0 * np.pi, n)
+    eta1 = rng.uniform(-np.pi / n_su, np.pi / n_su, n)
     ramp = np.exp(-1j * (eta0[:, None] + np.outer(eta1, np.arange(n_su))))
     return replace(stream, tensors=stream.tensors * ramp[:, None, None, :])
 
@@ -351,8 +348,8 @@ def degrade_stream(stream: CsiStream) -> CsiStream:
 # Scene presets.
 # ---------------------------------------------------------------------------
 
-def six_reflector_scene(snr_db: float = math.inf, packet_rate_hz: float = 1000.0,
-                        duration_s: float = 0.12, rng_seed: int = 0) -> Scene:
+def six_reflector_scene(snr_db: float = math.inf, duration_s: float = 0.12,
+                        rng_seed: int = 0) -> Scene:
     """Line-of-sight plus five separated reflectors, all jittered for decorrelation.
 
     Used as the resolution benchmark: full diversity resolves all six
@@ -372,8 +369,7 @@ def six_reflector_scene(snr_db: float = math.inf, packet_rate_hz: float = 1000.0
                   gain=10.0 ** (gain_db / 20.0), tag=tag, phase_jitter=1.0)
         for tag, az, el, tof, aod, gain_db in specs
     ]
-    return Scene(tuple(paths), snr_db=snr_db, packet_rate_hz=packet_rate_hz,
-                 duration_s=duration_s, rng_seed=rng_seed)
+    return Scene(tuple(paths), snr_db=snr_db, duration_s=duration_s, rng_seed=rng_seed)
 
 
 def six_reflector_truth() -> list[tuple[float, float]]:

@@ -229,13 +229,34 @@ class TestErrorReports:
             f"wivision: error: argument {flag}: '0': must be >= 1\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("value, reason", [("-1", "must be >= 1"),
+                                               ("0", "must be >= 1"),
+                                               ("abc", "expected an integer")],
+                             ids=["negative", "zero", "text"])
+    def test_bad_sources_is_1_before_any_work(self, scene_file, tmp_path, capsys, value,
+                                              reason):
+        stream, out = tmp_path / "stream.csif", tmp_path / "o"
+        assert run("simulate", "--scene", scene_file, "--out", stream) == EXIT_OK
+        assert run("spectrum", "--in", stream, "--out", out, "--sources", value) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"wivision: error: argument --sources: '{value}': {reason}\n")
+        assert not out.exists()
+
+    def test_key_error_is_a_program_fault(self, tmp_path, monkeypatch, capsys):
+        def fault(indir, frame_rate_hz):
+            raise KeyError("frame")
+        monkeypatch.setattr(cli, "_read_track", fault)
+        with pytest.raises(KeyError, match="frame"):
+            run("enhance", "--in", tmp_path, "--out", tmp_path / "o")
+        assert "input error" not in capsys.readouterr().err
+
     @pytest.mark.parametrize("text, where, reason", [
         ("[geometry]\nrx_0_m = a,0,0\n", "[geometry] ",
          "rx_0_m = 'a,0,0' must be three numbers x,y,z"),
         ("[simulation]\nduration_s = 0\n", "[simulation] ",
          "duration_s must be positive, got 0.0"),
         ("[channel]\ncarrier_hz = -1\n", "[channel] ",
-         "carrier_hz must be positive, got -1.0"),
+         "carrier_hz must be finite and positive, got -1.0"),
         ("[geometry]\nn_tx = 0\n", "[geometry] ", "n_tx must be >= 1, got 0"),
         ("[geometry]\nn_tx = inf\n", "[geometry] ", "n_tx must be an integer"),
         ("[persona:alice]\nelevation_span_deg = 10\nazimuth_span_deg = 10\n"

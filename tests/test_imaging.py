@@ -290,3 +290,17 @@ class TestSpectrumTrack:
         # the output (14 frames) and one median's sort of 30 frames fit; a
         # copy of the 43-frame input on top of them does not
         assert peak < 1.5 * track.grids.nbytes
+
+    def test_global_enhance_copies_no_whole_track(self, rng):
+        track = SpectrumTrack(rng.uniform(0, 5, (60, 180, 180)))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = enhance_track(track, mode="global")
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert len(out) == 60
+        # the output, in which the median partitions the frames, fits; the
+        # median's own copy of the input on top of it does not
+        assert peak < 1.25 * track.grids.nbytes

@@ -254,7 +254,7 @@ class TestCsifRecordLayout:
         with pytest.raises(CsifFormatError, match="invalid dimensions"):
             read_csif(path)
 
-    @pytest.mark.parametrize("value", [math.nan, 0.0, -1.0])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -1.0])
     @pytest.mark.parametrize("field", ["carrier_hz", "subcarrier_spacing_hz"])
     def test_bad_channel_header(self, tmp_path, field, value):
         path = tmp_path / "bad.csif"

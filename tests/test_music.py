@@ -22,7 +22,7 @@ from wivision import (
 )
 from wivision import inject_phase_offsets
 from wivision.arraymodel import ArrayGeometry, steering_tensor
-from wivision.music import _lag_tables, estimate_source_count, vectorize_frames
+from wivision.music import MAX_PEAKS, _lag_tables, estimate_source_count, vectorize_frames
 from wivision.simulate import six_reflector_scene
 
 from reference import (
@@ -328,7 +328,7 @@ class TestSpectrum:
         stream = make_stream(cfg, small_geom, jittered_paths(specs), duration=0.1)
         sub = noise_subspace_from_window(windows(stream, 100, 100)[0])
         spec = spectrum(sub, small_grids(), cfg, small_geom)
-        peaks = detect_peaks(spec, min_prominence_db=6.0, max_peaks=4)
+        peaks = detect_peaks(spec)
         assert len(peaks) >= 2
         found = {(az, el) for az, el, _ in peaks[:2]}
         for true_az, true_el in [(60, 60), (110, 100)]:
@@ -442,7 +442,7 @@ class TestDetectPeaks:
         for i in range(20):
             grid[5 + 8 * i, 90] = 100.0 + i
         grid += 0.001
-        peaks = detect_peaks(Spectrum2D(grid), min_prominence_db=6.0, max_peaks=10)
-        assert len(peaks) == 10
+        peaks = detect_peaks(Spectrum2D(grid))
+        assert len(peaks) == MAX_PEAKS == 10
         powers = [p for _, _, p in peaks]
         assert powers == sorted(powers, reverse=True)

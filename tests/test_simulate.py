@@ -249,13 +249,26 @@ class TestCsiStreamValidation:
             stream.timestamps_ns[0] = 7
 
 
+def unit_stream(cfg, geom, n=50):
+    """A stream whose every tensor value is 1, so injection leaves the ramp."""
+    shape = (n, geom.n_rx, geom.n_tx, geom.n_subcarriers)
+    return CsiStream(cfg, geom, np.arange(n), np.ones(shape, dtype=complex))
+
+
+def seed_draws(seed, n, n_su):
+    """(eta0, eta1): n offsets in [0, 2 pi), then n slopes in +-pi/n_su."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    return rng.uniform(0.0, 2.0 * np.pi, n), rng.uniform(-np.pi / n_su, np.pi / n_su, n)
+
+
 class TestInjectPhaseOffsets:
-    def test_zero_ranges_are_identity(self, cfg, small_geom):
-        stream = simulate(single_path_scene(PathHypothesis(77, 66, 12e-9, 80)),
-                          cfg, small_geom)
-        out = inject_phase_offsets(stream, seed=5, offset_range=(0.0, 0.0),
-                                   slope_range=(0.0, 0.0))
-        assert np.array_equal(out.tensors, stream.tensors)
+    def test_phases_are_the_seed_draws(self, cfg, small_geom):
+        n_su = small_geom.n_subcarriers
+        out = inject_phase_offsets(unit_stream(cfg, small_geom), seed=5)
+        eta0, eta1 = seed_draws(5, 50, n_su)
+        ramp = np.exp(-1j * (eta0[:, None] + np.outer(eta1, np.arange(n_su))))
+        assert np.array_equal(out.tensors, np.broadcast_to(ramp[:, None, None, :],
+                                                           out.tensors.shape))
 
     def test_ratio_constant_across_antenna_pairs(self, cfg, small_geom):
         stream = simulate(single_path_scene(PathHypothesis(77, 66, 12e-9, 80)),
@@ -269,14 +282,14 @@ class TestInjectPhaseOffsets:
 
     def test_fixed_slope_rotation(self, cfg, small_geom):
         n_su = small_geom.n_subcarriers
-        slope = np.pi / n_su
         stream = simulate(single_path_scene(PathHypothesis(90, 90)), cfg, small_geom)
-        out = inject_phase_offsets(stream, seed=5, offset_range=(0.0, 0.0),
-                                   slope_range=(slope, slope))
+        out = inject_phase_offsets(stream, seed=5)
         ratio = out.tensors / stream.tensors
         rel = ratio[..., n_su - 1] / ratio[..., 0]
-        expected = np.exp(-1j * slope * (n_su - 1))
-        np.testing.assert_allclose(rel, expected, rtol=1e-12)
+        # each packet's slope is the second draw of the seed
+        slope = seed_draws(5, len(stream), n_su)[1]
+        expected = np.exp(-1j * slope * (n_su - 1))[:, None, None]
+        np.testing.assert_allclose(rel, np.broadcast_to(expected, rel.shape), rtol=1e-12)
 
     def test_magnitudes_preserved(self, cfg, small_geom):
         stream = simulate(single_path_scene(PathHypothesis(45, 135, 8e-9, 60)),

@@ -18,18 +18,17 @@ from .reid import CmcCurve, FeatureVector, RankingResult, cmc, extract_features,
 from .sanitize import sanitize
 from .scenefile import SceneBundle, SceneFileError, load_scene
 from .simulate import (
-    CsiStream,
     DegenerateSceneError,
     GainGate,
     PersonaParams,
     Scene,
     ScenePath,
-    degrade_stream,
     human_walk_preset,
     inject_phase_offsets,
     simulate,
     six_reflector_scene,
     six_reflector_truth,
 )
+from .stream import CsiStream, degrade_stream
 
 __version__ = "0.1.0"

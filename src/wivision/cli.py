@@ -37,7 +37,8 @@ import numpy as np
 from . import csif, export, imaging, music, reid, scenefile
 from .arraymodel import N_ANGLE_BINS
 from .sanitize import sanitize as sanitize_stream
-from .simulate import degrade_stream, inject_phase_offsets, simulate as run_simulation
+from .simulate import inject_phase_offsets, simulate as run_simulation
+from .stream import degrade_stream
 
 EXIT_OK = 0
 EXIT_USAGE = 1

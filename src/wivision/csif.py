@@ -18,9 +18,8 @@ in nanoseconds and ``n_rx * n_tx * n_su`` little-endian complex64 values
 (real then imaginary float32; index order rx-major, then tx, then subcarrier).
 The reader and the writer share that one record layout.  The reader reads the
 payload straight into one record array and hands its complex64 field to the
-stream without a copy, so a capture read from CSIF is held at complex64; the
-sanitizer widens it to complex128 a block at a time.  The writer converts and
-writes the stream a block of packets at a time.
+stream without a copy, so a capture read from CSIF is held at complex64.  The
+writer converts and writes the stream a block of packets at a time.
 
 A capture thus carries its own antenna layout, and the reader rebuilds the
 exact :class:`~wivision.arraymodel.ChannelConfig` and
@@ -37,7 +36,7 @@ import struct
 import numpy as np
 
 from .arraymodel import ArrayGeometry, ChannelConfig, default_geometry
-from .simulate import CsiStream, block_len
+from .stream import CsiStream, block_len
 
 MAGIC = b"CSIF"
 VERSION = 2
@@ -61,9 +60,8 @@ def write_csif(stream: CsiStream, path) -> None:
     """Serialize a stream; values are stored at float32 precision.
 
     A value beyond the float32 range raises :class:`CsifFormatError` naming the
-    first packet at fault, before the file is opened.  The records are built
-    and written :func:`~wivision.simulate.block_len` packets at a time, so the
-    only memory this holds is one block of them.
+    first packet at fault, before the file is opened.  The only memory this
+    holds is one block of records.
     """
     geom = stream.geometry
     n_rx, n_tx, n_su = geom.n_rx, geom.n_tx, geom.n_subcarriers

@@ -10,8 +10,8 @@ summed over the (tof, aod) grid to a 180 x 180 angle image.
 Three implementation notes that matter for speed on the 810-element virtual
 array:
 
-* Windows are read-only views into the stream held in steering order;
-  simulated and sanitized streams are stored that way, so no copy is made.
+* Windows are read-only views into the stream held in steering order (see
+  :mod:`wivision.stream`), so no copy is made.
 * With far fewer snapshots than array elements the covariance is rank
   deficient, so the signal basis comes from the method of snapshots
   (Sirovich 1987): the small window_len x window_len Gram matrix X^H X is
@@ -48,7 +48,7 @@ from .arraymodel import (
     subcarrier_factors,
     tx_factors,
 )
-from .simulate import CsiStream
+from .stream import CsiStream, vectorize_frames
 
 DEFAULT_WINDOW_LEN = 100
 DEFAULT_STRIDE = 33
@@ -109,28 +109,13 @@ class SnapshotWindow:
         return self.matrix.shape[0]
 
 
-def vectorize_frames(tensors: np.ndarray) -> np.ndarray:
-    """(n, rx, tx, su) frame tensors -> (n, rx*tx*su) rows in steering order.
-
-    The rows are a view when the tensors are complex128 stored in steering
-    order.  Otherwise they are a copy, widened to complex128, which is exact.
-    """
-    rows = np.ascontiguousarray(tensors.transpose(0, 2, 1, 3), dtype=complex)
-    return rows.reshape(tensors.shape[0], -1)
-
-
 def windows(stream: CsiStream, window_len: int = DEFAULT_WINDOW_LEN,
             stride: int = DEFAULT_STRIDE) -> list[SnapshotWindow]:
     """Overlapping snapshot windows, at least one.
 
     A stream shorter than one window raises ``ValueError``.  Window matrices
-    are read-only views into the stream's (n, tx, rx, subcarrier) rows, so
-    overlapping windows share memory.  A stream stored in that order, as
-    :func:`wivision.simulate.simulate` and :func:`wivision.sanitize.sanitize`
-    store theirs, is windowed without a copy.  A stream read from CSIF, as
-    every stream the CLI images is, is held at complex64 in packet order; it
-    is copied once into that order and widened to complex128, which is exact,
-    under ``--no-sanitize`` and ``--degraded``, with no sanitizer between.
+    are read-only views into the stream's rows in steering order (see
+    :mod:`wivision.stream`), so overlapping windows share memory.
     """
     if window_len < 1 or stride < 1:
         raise ValueError("window_len and stride must be >= 1")

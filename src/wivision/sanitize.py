@@ -20,30 +20,19 @@ from dataclasses import replace
 
 import numpy as np
 
-from .simulate import CsiStream, block_len, steering_ordered_zeros
+from .stream import CsiStream, block_len, steering_ordered_zeros
 
 
 def sanitize(stream: CsiStream) -> CsiStream:
-    """Return a stream with per-packet common phase offset and slope removed.
-
-    The result is held once, in steering order (see :func:`sanitize_tensors`),
-    so :func:`wivision.music.windows` cuts its windows from it without a copy.
-    """
+    """Return a stream with per-packet common phase offset and slope removed."""
     return replace(stream, tensors=sanitize_tensors(stream.tensors))
 
 
 def sanitize_tensors(tensors: np.ndarray) -> np.ndarray:
     """Sanitize a (n_packets, rx, tx, subcarrier) array; see :func:`sanitize`.
 
-    Packets are sanitized in blocks of :func:`~wivision.simulate.block_len`
-    packets, each by the same per-packet arithmetic as the whole array at
-    once, so the bits depend neither on the block size nor on the input's
-    memory layout.  Each block is widened to complex128 as it is copied, which
-    is exact, so a complex64 capture read from CSIF is sanitized without a
-    whole-capture complex128 copy and to the bits of its widened form.  The
-    result is stored in steering order (see
-    :func:`~wivision.simulate.steering_ordered_zeros`); the only other memory
-    held is one block's temporaries.
+    The bits do not depend on the input's memory layout or precision: a
+    complex64 capture is sanitized to the bits of its widened form.
     """
     n, n_rx, n_tx, n_su = tensors.shape
     if n_su < 2:

@@ -28,6 +28,7 @@ from .arraymodel import (
     PathHypothesis,
     steering_tensor,
 )
+from .stream import CsiStream, block_len, steering_ordered_zeros
 
 PATH_TAGS = ("los", "static", "human", "secondary")
 
@@ -165,72 +166,9 @@ class Scene:
         return max(1, int(round(self.packet_rate_hz * self.duration_s)))
 
 
-@dataclass(frozen=True)
-class CsiStream:
-    """A packet stream as one array, plus the channel/geometry it was measured with.
-
-    ``timestamps_ns`` is an (n,) int64 array of strictly increasing packet
-    times; ``tensors`` is the (n, rx antenna, tx antenna, subcarrier) complex
-    array of channel tensors.  Both are stored without a copy and made
-    read-only.  A complex64 or complex128 array is kept at its precision, so a
-    capture read from CSIF stays complex64; the stages that compute on it,
-    the sanitizer and the windows, widen it to complex128 as they copy it,
-    which is exact.  Any other input is converted to complex128.
-    """
-
-    config: ChannelConfig
-    geometry: ArrayGeometry
-    timestamps_ns: np.ndarray
-    tensors: np.ndarray
-
-    def __post_init__(self):
-        ts = np.asarray(self.timestamps_ns, dtype=np.int64)
-        t = np.asarray(self.tensors)
-        if t.dtype not in (np.complex64, np.complex128):
-            t = t.astype(complex)
-        shape = (self.geometry.n_rx, self.geometry.n_tx, self.geometry.n_subcarriers)
-        if ts.ndim != 1:
-            raise ValueError(f"timestamps must be 1-D, got shape {ts.shape}")
-        if t.ndim != 4 or t.shape[1:] != shape:
-            raise ValueError(f"packet 0: tensor shape {t.shape[1:]} does not match "
-                             f"geometry {shape}")
-        if len(t) != len(ts):
-            raise ValueError(f"packet {min(len(t), len(ts))}: {len(ts)} timestamps "
-                             f"but {len(t)} tensors")
-        late = np.flatnonzero(np.diff(ts) <= 0)
-        if late.size:
-            p = int(late[0]) + 1
-            raise ValueError(f"packet {p}: timestamp {ts[p]} is not after {ts[p - 1]}")
-        step = block_len(self.geometry.dim)
-        for start in range(0, len(t), step):
-            bad = np.flatnonzero(~np.isfinite(t[start:start + step]).all(axis=(1, 2, 3)))
-            if bad.size:
-                raise ValueError(f"packet {start + int(bad[0])}: tensor contains "
-                                 "non-finite values")
-        for name, a in (("timestamps_ns", ts), ("tensors", t)):
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
-
-    def __len__(self) -> int:
-        return len(self.timestamps_ns)
-
-
 def packet_times(scene: Scene) -> np.ndarray:
     """Packet emission times in seconds, packet i at i / packet_rate."""
     return np.arange(scene.n_packets) / scene.packet_rate_hz
-
-
-_BLOCK_VALUES = 1 << 14
-
-
-def block_len(packet_values: int) -> int:
-    """Packets per block of the per-packet stages, at least one.
-
-    A block holds about ``_BLOCK_VALUES`` complex values (256 KiB), so that it
-    and a stage's temporaries, about five times its size, stay in a 2 MiB L2
-    cache.
-    """
-    return max(1, _BLOCK_VALUES // packet_values)
 
 
 def _physical_memory_bytes() -> int | None:
@@ -242,13 +180,6 @@ def _physical_memory_bytes() -> int | None:
     return pages * page_size if pages > 0 and page_size > 0 else None
 
 
-def steering_ordered_zeros(n_packets: int, n_rx: int, n_tx: int, n_su: int) -> np.ndarray:
-    """Zeroed (packet, rx, tx, subcarrier) complex tensors stored in steering
-    order, (packet, tx, rx, subcarrier), so that
-    :func:`wivision.music.windows` cuts its windows from them without a copy."""
-    return np.zeros((n_packets, n_tx, n_rx, n_su), dtype=complex).transpose(0, 2, 1, 3)
-
-
 def simulate(scene: Scene, cfg: ChannelConfig, geom: ArrayGeometry) -> CsiStream:
     """Render the CSI stream of a scene.
 
@@ -257,14 +188,10 @@ def simulate(scene: Scene, cfg: ChannelConfig, geom: ArrayGeometry) -> CsiStream
     mean per-element signal power divided by the linear SNR.  Identical
     (scene, seed) inputs produce bit-identical streams.
 
-    Packets are rendered in blocks of :func:`block_len` packets into the one
-    output array, paths in scene order within a block, so the stream is held
-    once and the peak stays under twice its bytes.  Every element sees the
-    same operations as in a whole-stream render, so the bits do not depend on
-    the block size.  The output is stored in steering order (see
-    :func:`steering_ordered_zeros`).  A stream larger than this machine's
-    physical memory raises :class:`DegenerateSceneError` before any array is
-    allocated.
+    Packets are rendered a block at a time (see :mod:`wivision.stream`),
+    paths in scene order within a block, so the peak stays under twice the
+    stream's bytes.  A stream larger than this machine's physical memory
+    raises :class:`DegenerateSceneError` before any array is allocated.
     """
     if not scene.paths:
         raise DegenerateSceneError("scene has no paths; nothing to render")
@@ -335,13 +262,6 @@ def inject_phase_offsets(stream: CsiStream, seed: int) -> CsiStream:
     eta1 = rng.uniform(-np.pi / n_su, np.pi / n_su, n)
     ramp = np.exp(-1j * (eta0[:, None] + np.outer(eta1, np.arange(n_su))))
     return replace(stream, tensors=stream.tensors * ramp[:, None, None, :])
-
-
-def degrade_stream(stream: CsiStream) -> CsiStream:
-    """Collapse a stream to 1 tx antenna and 1 subcarrier (rx-only diversity)."""
-    geom = ArrayGeometry(stream.geometry.rx_positions, n_tx=1, n_subcarriers=1)
-    tensors = np.ascontiguousarray(stream.tensors[:, :, :1, :1])
-    return CsiStream(stream.config, geom, stream.timestamps_ns, tensors)
 
 
 # ---------------------------------------------------------------------------

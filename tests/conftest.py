@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,12 +7,20 @@ from wivision import (
     ArrayGeometry,
     ChannelConfig,
     GainGate,
+    GridSpec,
     PathHypothesis,
     Scene,
     ScenePath,
+    SpectrumTrack,
     default_geometry,
+    human_walk_preset,
+    noise_subspace_from_window,
+    simulate,
+    spectrum,
+    windows,
 )
-from wivision.simulate import block_len
+from wivision.imaging import enhance_track
+from wivision.stream import block_len
 
 
 @pytest.fixture
@@ -55,4 +65,26 @@ def mixed_scenes():
                      ScenePath(PathHypothesis(130, 95, 35e-9, 110), gain=0.3))
             scenes.append(Scene(paths, snr_db=snr_db, duration_s=duration, rng_seed=17))
         return scenes
+    return make
+
+
+@pytest.fixture
+def persona_track():
+    """``make(cfg, geom, persona, seed, n_frames)``: the globally enhanced track
+    of ``n_frames`` noiseless 100-packet windows, at stride 33, of one walking
+    persona, each imaged on a 4-point (tof, aod) grid around the persona."""
+    scan = GridSpec(tof_grid_s=np.array([30e-9, 32e-9, 34e-9, 36e-9]),
+                    aod_grid_deg=np.array([90.0]))
+
+    def make(cfg, geom, persona, seed, n_frames):
+        duration = (100 + (n_frames - 1) * 33 + 1) / 1000.0
+        scene = human_walk_preset(persona, duration_s=duration, snr_db=math.inf,
+                                  rng_seed=seed)
+        shots = windows(simulate(scene, cfg, geom), 100, 33)
+        grids = [spectrum(noise_subspace_from_window(w), scan, cfg, geom).grid
+                 for w in shots]
+        track = SpectrumTrack(np.stack(grids), [w.timestamp_ns for w in shots],
+                              frame_rate_hz=1000 / 33)
+        return enhance_track(track, floor_db=20.0, mode="global",
+                             static_window=len(track))
     return make

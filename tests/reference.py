@@ -41,7 +41,8 @@ from wivision.arraymodel import (
 from wivision.csif import _HEADER, _packet_dtype
 from wivision.imaging import SpectrumTrack
 from wivision.music import NoiseSubspace, SnapshotWindow, estimate_source_count
-from wivision.simulate import CsiStream, Scene, packet_times
+from wivision.simulate import Scene, packet_times
+from wivision.stream import CsiStream
 
 
 def covariance(window: SnapshotWindow) -> np.ndarray:

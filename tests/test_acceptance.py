@@ -26,10 +26,8 @@ from wivision import (
     aggregate,
     cmc,
     default_geometry,
-    degrade_stream,
     detect_peaks,
     extract_features,
-    human_walk_preset,
     inject_phase_offsets,
     noise_subspace_from_window,
     rank,
@@ -42,6 +40,7 @@ from wivision import (
 )
 from wivision.arraymodel import rx_factors, steering_tensor, subcarrier_factors, tx_factors
 from wivision.imaging import enhance_track
+from wivision.stream import degrade_stream
 
 
 def _report(criterion: str, ok: bool, detail: str):
@@ -183,10 +182,9 @@ def test_criterion_4_enhancement(cfg, geom):
     grids = GridSpec(tof_grid_s=np.arange(8) * 10e-9,
                      aod_grid_deg=np.array([45.0, 75.0, 90.0, 110.0, 145.0]))
     wins = windows(stream, 100, 33)
-    track = SpectrumTrack(frame_rate_hz=1000 / 33)
-    for w in wins:
-        track.append(spectrum(noise_subspace_from_window(w), grids, cfg, geom,
-                              timestamp_ns=w.timestamp_ns))
+    track = SpectrumTrack(np.stack([spectrum(noise_subspace_from_window(w), grids, cfg,
+                                             geom).grid for w in wins]),
+                          [w.timestamp_ns for w in wins], frame_rate_hz=1000 / 33)
     static_window = 30
     enhanced = enhance_track(track, static_window=static_window, floor_db=20.0)
 
@@ -225,10 +223,10 @@ def test_criterion_5_aggregation(cfg, geom):
     stream = simulate(scene, cfg, geom)
     grids = GridSpec(tof_grid_s=np.arange(8) * 10e-9,
                      aod_grid_deg=np.array([70.0, 90.0, 110.0, 130.0]))
-    track = SpectrumTrack(frame_rate_hz=10.0)
-    for w in windows(stream, 100, 100):  # frames aligned with gate half-periods
-        track.append(spectrum(noise_subspace_from_window(w), grids, cfg, geom,
-                              timestamp_ns=w.timestamp_ns))
+    wins = windows(stream, 100, 100)  # frames aligned with gate half-periods
+    track = SpectrumTrack(np.stack([spectrum(noise_subspace_from_window(w), grids, cfg,
+                                             geom).grid for w in wins]),
+                          [w.timestamp_ns for w in wins], frame_rate_hz=10.0)
     enhanced = enhance_track(track, static_window=30, floor_db=20.0)
     upper_bin, lower_bin = (79, 109), (79, 69)
     upper_series = enhanced.grids[:, upper_bin[0], upper_bin[1]]
@@ -288,31 +286,15 @@ def _persona_design():
     return personas
 
 
-def _persona_features(cfg, geom, params, seed, start_az, n_frames=100):
-    duration = (100 + (n_frames - 1) * 33 + 1) / 1000.0
-    persona = PersonaParams(**{**params, "start_azimuth_deg": start_az})
-    scene = human_walk_preset(persona, duration_s=duration, snr_db=math.inf,
-                              rng_seed=seed)
-    stream = simulate(scene, cfg, geom)
-    grids = GridSpec(tof_grid_s=np.array([30e-9, 32e-9, 34e-9, 36e-9]),
-                     aod_grid_deg=np.array([90.0]))
-    track = SpectrumTrack(frame_rate_hz=1000 / 33)
-    for w in windows(stream, 100, 33):
-        track.append(spectrum(noise_subspace_from_window(w), grids, cfg, geom,
-                              timestamp_ns=w.timestamp_ns))
-    enhanced = enhance_track(track, floor_db=20.0, mode="global",
-                             static_window=len(track))
-    return extract_features(enhanced)
-
-
-def test_criterion_7_reid_harness(cfg, geom):
+def test_criterion_7_reid_harness(cfg, geom, persona_track):
     """Eight personas with pairwise >= 2 sigma feature separation reach
     rank-1 >= 90% probe vs gallery (synthetic-harness property)."""
     personas = _persona_design()
     gallery = []
     for i, (name, params) in enumerate(personas.items()):
-        gallery.append((name, _persona_features(cfg, geom, params,
-                                                seed=100 + i, start_az=58 + i)))
+        persona = PersonaParams(**params, start_azimuth_deg=58 + i)
+        gallery.append((name, extract_features(persona_track(cfg, geom, persona,
+                                                             seed=100 + i, n_frames=100))))
     feats = np.stack([fv.as_array() for _, fv in gallery])
     sigma = feats.std(axis=0)
     sigma[sigma == 0] = np.inf
@@ -326,8 +308,9 @@ def test_criterion_7_reid_harness(cfg, geom):
     for i, (name, params) in enumerate(personas.items()):
         probe_id = f"{name}__probe"
         truth[probe_id] = name
-        probe = _persona_features(cfg, geom, params, seed=200 + i,
-                                  start_az=62 + i)
+        persona = PersonaParams(**params, start_azimuth_deg=62 + i)
+        probe = extract_features(persona_track(cfg, geom, persona, seed=200 + i,
+                                               n_frames=100))
         results.append(rank(probe, gallery, probe_id=probe_id))
     curve = cmc(results, truth)
     rank1 = curve.rank_accuracy(1)

@@ -164,6 +164,23 @@ def test_src_imports_are_used():
     assert unused == []
 
 
+def test_only_the_commands_import_the_simulator():
+    """The simulator is the oracle the stages are checked against, so only the
+    commands, the scene files and the package import it; the stream type the
+    stages share needs nothing of the package but the array model."""
+    imports = {}
+    for path in Path(wivision.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imports[path.stem] = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                imports[path.stem] |= ({node.module} if node.module else
+                                       {a.name for a in node.names})
+    assert sorted(m for m, names in imports.items() if "simulate" in names) == [
+        "__init__", "cli", "scenefile"]
+    assert imports["stream"] == {"arraymodel"}
+
+
 def three_spectra(tmp_path):
     """A directory of three constant spectrum CSVs."""
     indir = tmp_path / "spectra"
@@ -179,6 +196,19 @@ class TestErrorReports:
         assert run("spectrum", "--in", path, "--out", tmp_path / "o") == EXIT_INPUT
         assert capsys.readouterr().err == (
             "wivision: input error: packet 3: tensor contains non-finite values\n")
+
+    def test_timestamp_beyond_int64_is_2(self, scene_file, tmp_path, capsys):
+        """Packet 4's u64 timestamp 2**63 reads as -2**63, before packet 3,
+        although the int64 difference of the two wraps to a positive value."""
+        path = tmp_path / "wrap.csif"
+        assert run("simulate", "--scene", scene_file, "--out", path) == EXIT_OK
+        raw = bytearray(path.read_bytes())
+        per = packet_size_bytes(3, 2, 8)
+        struct.pack_into("<Q", raw, len(raw) - (len(read_csif(path)) - 4) * per, 2**63)
+        path.write_bytes(bytes(raw))
+        assert run("spectrum", "--in", path, "--out", tmp_path / "o") == EXIT_INPUT
+        assert capsys.readouterr().err == ("wivision: input error: packet 4: timestamp "
+                                           f"{-2**63} is not after 3000000\n")
 
     @pytest.mark.parametrize("index, value, reason", [
         (0, np.inf, "header tx_spacing_m must be finite and positive, got inf"),

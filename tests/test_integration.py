@@ -5,38 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from wivision import (
-    GridSpec,
-    PersonaParams,
-    SpectrumTrack,
-    aggregate,
-    extract_features,
-    human_walk_preset,
-    noise_subspace_from_window,
-    simulate,
-    spectrum,
-    windows,
-)
-from wivision.imaging import enhance_track
-
-PERSONA_GRIDS = GridSpec(tof_grid_s=np.array([30e-9, 32e-9, 34e-9, 36e-9]),
-                         aod_grid_deg=np.array([90.0]))
+from wivision import PersonaParams, SpectrumTrack, aggregate, extract_features
 
 
-def persona_track(cfg, geom, persona: PersonaParams, seed: int, n_frames: int):
-    duration = (100 + (n_frames - 1) * 33 + 1) / 1000.0
-    scene = human_walk_preset(persona, duration_s=duration, snr_db=math.inf,
-                              rng_seed=seed)
-    stream = simulate(scene, cfg, geom)
-    track = SpectrumTrack(frame_rate_hz=1000 / 33)
-    for w in windows(stream, 100, 33):
-        track.append(spectrum(noise_subspace_from_window(w), PERSONA_GRIDS, cfg,
-                              geom, timestamp_ns=w.timestamp_ns))
-    return enhance_track(track, floor_db=20.0, mode="global",
-                         static_window=len(track))
-
-
-def test_persona_elevation_span_round_trip(cfg, full_geom):
+def test_persona_elevation_span_round_trip(cfg, full_geom, persona_track):
     persona = PersonaParams(elevation_span_deg=30.0, azimuth_span_deg=10.0,
                             gait_period_s=1.0, start_azimuth_deg=60.0,
                             tof_ns=30.0)
@@ -45,7 +17,7 @@ def test_persona_elevation_span_round_trip(cfg, full_geom):
     assert features.elevation_extent_deg == pytest.approx(30.0, abs=2.0)
 
 
-def test_disjoint_elevation_spans_separate_height_features(cfg, full_geom):
+def test_disjoint_elevation_spans_separate_height_features(cfg, full_geom, persona_track):
     short = PersonaParams(elevation_span_deg=16.0, azimuth_span_deg=10.0,
                           gait_period_s=1.0, center_elevation_deg=70.0,
                           start_azimuth_deg=60.0, tof_ns=30.0)
@@ -61,7 +33,7 @@ def test_disjoint_elevation_spans_separate_height_features(cfg, full_geom):
     assert f_tall.centroid_elevation_deg - f_short.centroid_elevation_deg > 20.0
 
 
-def test_aggregate_argmax_tracks_walking_subject(cfg, full_geom):
+def test_aggregate_argmax_tracks_walking_subject(cfg, full_geom, persona_track):
     """With one moving human path group the argmax of the trailing 15-frame
     aggregate stays within 3 bins of the body centroid in >= 90% of frames."""
     persona = PersonaParams(elevation_span_deg=8.0, azimuth_span_deg=2.0,

@@ -3,6 +3,7 @@ import re
 import struct
 import sys
 import tracemalloc
+import warnings
 from configparser import ConfigParser
 from dataclasses import replace
 
@@ -23,7 +24,6 @@ from wivision import (
     ScenePath,
     Spectrum2D,
     default_geometry,
-    degrade_stream,
     inject_phase_offsets,
     load_scene,
     read_csif,
@@ -36,7 +36,7 @@ from wivision import (
 from wivision import scenefile
 from wivision.csif import _HEADER, packet_size_bytes
 from wivision.export import _csv_rows, read_spectrum_csv, write_pgm, write_spectrum_csv
-from wivision.simulate import block_len
+from wivision.stream import CsiStream, block_len, degrade_stream
 
 
 @pytest.fixture
@@ -188,6 +188,52 @@ class TestCsif:
                 f"file too short for the layout block of 3 rx elements ({kept} of "
                 "80 bytes)")):
             read_csif(path)
+
+
+@pytest.fixture(scope="module")
+def small_captures(tmp_path_factory):
+    """``(scratch_path, {version: bytes})``: 20 packets on 3 rx x 2 tx x 4
+    subcarriers as a version 2 CSIF file, and its records re-headed as version 1."""
+    cfg = ChannelConfig()
+    geom = ArrayGeometry.l_shaped(cfg.wavelength_m / 2.0, arm_x=2, arm_z=2, n_tx=2,
+                                  n_subcarriers=4)
+    scene = Scene((ScenePath(PathHypothesis(70, 60, 20e-9, 80), phase_jitter=0.5),),
+                  snr_db=18.0, duration_s=0.02, rng_seed=4)
+    path = tmp_path_factory.mktemp("mutations") / "capture.csif"
+    write_csif(simulate(scene, cfg, geom), path)
+    v2 = path.read_bytes()
+    assert len(v2) == 4116
+    v1 = v2[:4] + struct.pack("<H", 1) + v2[6:_HEADER.size] + v2[_HEADER.size + 80:]
+    return path, {1: v1, 2: v2}
+
+
+class TestCsifMutations:
+    @settings(max_examples=300, deadline=None)
+    @given(version=st.sampled_from([1, 2]), data=st.data())
+    def test_mutated_file_reads_or_raises_format_error(self, small_captures, version,
+                                                       data):
+        """A truncated or extended file, or one with up to 8 bytes overwritten
+        in its header, layout block or first record, reads as a stream or
+        raises CsifFormatError, and warns of nothing."""
+        path, captures = small_captures
+        raw = bytearray(captures[version])
+        edit = data.draw(st.sampled_from(["truncate", "append", "overwrite"]))
+        if edit == "truncate":
+            raw = raw[:data.draw(st.integers(0, len(raw) - 1))]
+        elif edit == "append":
+            raw += data.draw(st.binary(min_size=1, max_size=400))
+        else:
+            first_record_end = len(raw) - 19 * packet_size_bytes(3, 2, 4)
+            start = data.draw(st.integers(0, first_record_end - 1))
+            patch = data.draw(st.binary(min_size=1, max_size=8))
+            raw[start:start + len(patch)] = patch
+        path.write_bytes(bytes(raw))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                assert isinstance(read_csif(path), CsiStream)
+            except CsifFormatError:
+                pass
 
 
 def write_csif_per_packet(stream, path):

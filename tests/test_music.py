@@ -22,8 +22,9 @@ from wivision import (
 )
 from wivision import inject_phase_offsets
 from wivision.arraymodel import ArrayGeometry, steering_tensor
-from wivision.music import MAX_PEAKS, _lag_tables, estimate_source_count, vectorize_frames
+from wivision.music import MAX_PEAKS, _lag_tables, estimate_source_count
 from wivision.simulate import six_reflector_scene
+from wivision.stream import vectorize_frames
 
 from reference import (
     covariance,

@@ -19,7 +19,7 @@ from wivision import (
     windows,
 )
 from wivision.sanitize import sanitize_tensors
-from wivision.simulate import block_len
+from wivision.stream import block_len
 
 
 def make_stream(cfg, geom, paths, snr_db=math.inf, duration=0.05, seed=0):

@@ -7,15 +7,12 @@ import pytest
 
 from wivision import (
     ArrayGeometry,
-    ChannelConfig,
-    CsiStream,
     DegenerateSceneError,
     GainGate,
     PathHypothesis,
     PersonaParams,
     Scene,
     ScenePath,
-    degrade_stream,
     human_walk_preset,
     inject_phase_offsets,
     simulate,
@@ -24,7 +21,7 @@ from wivision import (
 
 import reference
 from reference import virtual_steering_vector
-from wivision.simulate import block_len
+from wivision.stream import CsiStream
 
 # the package's ``simulate`` is the function; this is its module
 simulate_module = importlib.import_module("wivision.simulate")
@@ -188,67 +185,6 @@ class TestGainGate:
             GainGate(period_s=0.0)
 
 
-class TestCsiStreamValidation:
-    @pytest.fixture
-    def arrays(self, small_geom):
-        shape = (5, small_geom.n_rx, small_geom.n_tx, small_geom.n_subcarriers)
-        return np.arange(5, dtype=np.int64) * 1000, np.ones(shape, dtype=complex)
-
-    def test_valid_stream(self, cfg, small_geom, arrays):
-        stream = CsiStream(cfg, small_geom, *arrays)
-        assert len(stream) == 5
-        assert stream.timestamps_ns.dtype == np.int64
-        assert stream.tensors.dtype == complex
-
-    def test_wrong_tensor_shape(self, cfg, small_geom, arrays):
-        ts, tensors = arrays
-        with pytest.raises(ValueError, match=r"packet 0: tensor shape .* geometry"):
-            CsiStream(cfg, small_geom, ts, tensors[:, :, :1])
-        with pytest.raises(ValueError, match="packet 4: 5 timestamps but 4 tensors"):
-            CsiStream(cfg, small_geom, ts, tensors[:4])
-
-    @pytest.mark.parametrize("value", [2000, 1500])
-    def test_non_increasing_timestamps(self, cfg, small_geom, arrays, value):
-        ts, tensors = arrays
-        ts[3:] = value  # packets 3 and 4 are both at fault
-        with pytest.raises(ValueError, match="packet 3: timestamp"):
-            CsiStream(cfg, small_geom, ts, tensors)
-
-    @pytest.mark.parametrize("value", [np.nan, np.inf, complex(0, -np.inf)])
-    def test_non_finite_values(self, cfg, small_geom, arrays, value):
-        ts, tensors = arrays
-        tensors[2, 1, 0, 3] = value
-        tensors[4, 0, 0, 0] = value
-        with pytest.raises(ValueError, match="packet 2: tensor contains non-finite"):
-            CsiStream(cfg, small_geom, ts, tensors)
-
-    def test_non_finite_value_in_a_later_block(self, cfg, small_geom):
-        n = 2 * block_len(small_geom.dim) + 7
-        shape = (n, small_geom.n_rx, small_geom.n_tx, small_geom.n_subcarriers)
-        tensors = np.ones(shape, dtype=np.complex64)
-        tensors[n - 3, 1, 1, 7] = np.nan
-        with pytest.raises(ValueError, match=f"packet {n - 3}: tensor contains non-finite"):
-            CsiStream(cfg, small_geom, np.arange(n) * 1000, tensors)
-
-    @pytest.mark.parametrize("dtype, kept", [(np.complex64, np.complex64),
-                                             (np.complex128, np.complex128),
-                                             (np.float32, np.complex128),
-                                             (np.int64, np.complex128)])
-    def test_complex_precision_is_kept(self, cfg, small_geom, arrays, dtype, kept):
-        ts, tensors = arrays
-        given = np.ones(tensors.shape, dtype=dtype)
-        stream = CsiStream(cfg, small_geom, ts, given)
-        assert stream.tensors.dtype == kept
-        assert np.shares_memory(stream.tensors, given) == (dtype == kept)
-
-    def test_arrays_read_only(self, cfg, small_geom, arrays):
-        stream = CsiStream(cfg, small_geom, *arrays)
-        with pytest.raises(ValueError, match="read-only"):
-            stream.tensors[0, 0, 0, 0] = 0.0
-        with pytest.raises(ValueError, match="read-only"):
-            stream.timestamps_ns[0] = 7
-
-
 def unit_stream(cfg, geom, n=50):
     """A stream whose every tensor value is 1, so injection leaves the ramp."""
     shape = (n, geom.n_rx, geom.n_tx, geom.n_subcarriers)
@@ -297,18 +233,6 @@ class TestInjectPhaseOffsets:
         out = inject_phase_offsets(stream, seed=17)
         np.testing.assert_allclose(np.abs(out.tensors), np.abs(stream.tensors),
                                    rtol=1e-12)
-
-
-class TestDegradeStream:
-    def test_collapses_tx_and_subcarriers(self, cfg, full_geom):
-        stream = simulate(single_path_scene(PathHypothesis(60, 45), duration=0.01),
-                          cfg, full_geom)
-        degraded = degrade_stream(stream)
-        assert degraded.geometry.n_tx == 1
-        assert degraded.geometry.n_subcarriers == 1
-        assert degraded.tensors.shape == (10, full_geom.n_rx, 1, 1)
-        np.testing.assert_array_equal(degraded.tensors[:, :, 0, 0],
-                                      stream.tensors[:, :, 0, 0])
 
 
 class TestHumanWalkPreset:

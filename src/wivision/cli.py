@@ -9,32 +9,23 @@ output bytes depend on neither the number of usable CPUs nor of BLAS threads.
 ``pipeline`` images the ``stream.csif`` it writes as ``spectrum`` images its
 input (copied once into steering order under ``--no-sanitize``), on the antenna
 layout the capture carries, so its frames are those of the stage commands.
-Both compute the image of every snapshot window on every usable CPU, this
-process and one forked worker per further CPU (in this process alone when
-OpenBLAS cannot be pinned, only one CPU is usable, or ``fork`` is
-unavailable), each writing its images into rows of one shared track array.
-Each command computes all its images first, then writes every frame's CSV and
-PGM in one pass, shared the same way among the usable CPUs.
+Both compute every image first, into one shared track array, then every
+frame's CSV and PGM in one pass; :mod:`wivision.parallel` shares each pass
+among the usable CPUs.
 """
 
 from __future__ import annotations
 
 import argparse
-import ctypes
 import logging
-import mmap
-import os
-import pickle
-import signal
 import sys
 import time
-import traceback
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from . import csif, export, imaging, music, reid, scenefile
+from . import csif, export, imaging, music, parallel, reid, scenefile
 from .arraymodel import N_ANGLE_BINS
 from .sanitize import sanitize as sanitize_stream
 from .simulate import inject_phase_offsets, simulate as run_simulation
@@ -203,79 +194,6 @@ def _write_frame(grid: np.ndarray, stem: Path) -> None:
     export.write_pgm(grid, stem.parent / f"{stem.name}.pgm")
 
 
-def _processes(n_items: int) -> int:
-    """Processes to share ``n_items`` items among: one per usable CPU, at most
-    one per item, and 1 (this process alone) without ``fork``."""
-    if not hasattr(os, "fork"):
-        return 1
-    usable = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-              else os.cpu_count() or 1)
-    return max(1, min(usable, n_items))
-
-
-class _WorkerTraceback(Exception):
-    """The formatted traceback of an exception raised in a worker process."""
-
-
-def _first_failure(fn, items, k: int, processes: int) -> tuple[int, Exception, str] | None:
-    """Call ``fn`` on ``items[k::processes]`` in order; for the first call that
-    raises, the item's index, the exception and its formatted traceback."""
-    for i in range(k, len(items), processes):
-        try:
-            fn(items[i])
-        except Exception as exc:
-            return i, exc, "".join(traceback.format_exception(exc))
-    return None
-
-
-def _fork_map(fn, items, processes: int) -> None:
-    """``for item in items: fn(item)``, shared among ``processes`` processes.
-
-    This process takes ``items[0::processes]`` and forked worker ``k`` takes
-    ``items[k::processes]``.  Workers inherit ``fn`` and the items; ``fn``
-    leaves its results in files or shared memory, and only failures are pickled
-    back.  A share stops at its first exception; the one raised is that of the
-    lowest-numbered item that failed, as in a serial loop, with a worker's
-    traceback as its cause, or ``ChildProcessError`` for a worker that died.  A
-    worker is this process without its other threads: call this while none computes.
-    """
-    pids, pipes, received, statuses = [], [], [], []
-    try:
-        for k in range(1, processes):
-            read_fd, write_fd = os.pipe()
-            pid = os.fork()
-            if pid == 0:  # the worker: never returns into the caller
-                status = 1
-                try:
-                    failure = _first_failure(fn, items, k, processes)
-                    with open(write_fd, "wb") as pipe:
-                        pickle.dump(failure, pipe)
-                    status = 0
-                finally:
-                    os._exit(status)
-            os.close(write_fd)
-            pids.append(pid)
-            pipes.append(open(read_fd, "rb"))
-        own = _first_failure(fn, items, 0, processes)
-        received = [pipe.read() for pipe in pipes]
-    finally:
-        for pipe in pipes:
-            pipe.close()
-        for pid in pids:
-            if len(received) < len(pids):  # interrupted before every worker sent
-                os.kill(pid, signal.SIGKILL)
-            statuses.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
-    for pid, status in zip(pids, statuses):
-        if status != 0:
-            raise ChildProcessError(f"worker process {pid} exited with status {status}")
-    failed = [f for f in [own, *map(pickle.loads, received)] if f is not None]
-    if failed:
-        i, exc, tb = min(failed, key=lambda f: f[0])
-        if i % processes:  # a worker's item
-            raise exc from _WorkerTraceback(tb)
-        raise exc
-
-
 def _numbered(track: imaging.SpectrumTrack, outdir: Path,
               prefix: str) -> list[tuple[np.ndarray, Path]]:
     """Each row of ``track``, checked when the track was built, with its stem."""
@@ -285,17 +203,16 @@ def _numbered(track: imaging.SpectrumTrack, outdir: Path,
 def _write_frames(frames: list[tuple[np.ndarray, Path]]) -> None:
     """Write each ``(grid, stem)`` with :func:`_write_frame` and log the time taken.
 
-    The frames are shared by :func:`_fork_map` among :func:`_processes`
-    processes, which call no BLAS.  Call this once, after the last image is
+    The frames are shared among processes by :func:`parallel.fork_map`, and
+    the writers call no BLAS.  Call this once, after the last image is
     computed, so that no command writes part of its frames and then fails.
     The first exception (an ``OSError`` naming the file) is raised here.
     """
     started = time.perf_counter()
     for outdir in dict.fromkeys(stem.parent for _, stem in frames):
         outdir.mkdir(parents=True, exist_ok=True)
-    processes = _processes(len(frames))
     export._csv_tables()  # built before the fork, so every worker inherits them
-    _fork_map(lambda frame: _write_frame(*frame), frames, processes)
+    processes = parallel.fork_map(lambda frame: _write_frame(*frame), frames, blas=False)
     logger.info("wrote %d frames in %.3f s, processes: %d", len(frames),
                 time.perf_counter() - started, processes)
 
@@ -313,7 +230,7 @@ def _image_capture(path: Path, args) -> imaging.SpectrumTrack:
     on the layout it carries, degraded with ``--degraded`` and sanitized unless
     ``--no-sanitize`` or under 2 subcarriers.  Each step rebinds the one stream,
     so the capture is held once, and only until its windows are imaged.  The
-    processes write the images into rows of one shared anonymous ``mmap``."""
+    processes write the images into rows of one shared array."""
     stream = csif.read_csif(path)
     degraded = getattr(args, "degraded", False)
     if degraded:
@@ -325,16 +242,14 @@ def _image_capture(path: Path, args) -> imaging.SpectrumTrack:
     sources = getattr(args, "sources", None)
     given = {"tof_grid_s": args.tau_grid_ns, "aod_grid_deg": args.aod_grid_deg}
     grids = music.GridSpec(**{k: v for k, v in given.items() if v is not None})
-    images = np.frombuffer(mmap.mmap(-1, len(wins) * N_ANGLE_BINS ** 2 * 8)).reshape(
-        len(wins), N_ANGLE_BINS, N_ANGLE_BINS)
+    images = parallel.shared_zeros((len(wins), N_ANGLE_BINS, N_ANGLE_BINS))
 
     def image(i: int) -> None:
         sub = music.noise_subspace_from_window(wins[i], s_hat=sources)
         images[i] = music.spectrum(sub, grids, stream.config, stream.geometry).grid
 
     started = time.perf_counter()
-    processes = _processes(len(wins)) if args.one_blas_thread else 1
-    _fork_map(image, range(len(wins)), processes)
+    processes = parallel.fork_map(image, range(len(wins)), blas=True)
     logger.info("imaged %d windows in %.3f s, processes: %d", len(wins),
                 time.perf_counter() - started, processes)
     return imaging.SpectrumTrack(images, [w.timestamp_ns for w in wins])
@@ -440,33 +355,6 @@ def _fail(code: int, kind: str, exc: Exception) -> int:
     return code
 
 
-def _pin_blas_to_one_thread() -> bool:
-    """Set the OpenBLAS libraries in this process, numpy's among them, to one
-    thread; False if none exposes the call.
-
-    OpenBLAS splits a product differently for each thread count, which changes
-    the last bits of an image, and its threads would compete with the imaging
-    workers for the same CPUs.
-    """
-    try:
-        with open("/proc/self/maps", encoding="ascii", errors="replace") as maps:
-            paths = {line.split()[-1] for line in maps
-                     if "openblas" in line.rsplit("/", 1)[-1]}
-        libraries = [ctypes.CDLL(path) for path in sorted(paths)]
-    except OSError:  # no /proc, or a library that cannot be opened again
-        return False
-    pinned = False
-    for lib in libraries:
-        for name in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads"):
-            set_threads = getattr(lib, name, None)
-            if set_threads is not None:
-                set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-                set_threads(1)
-                pinned = True
-                break
-    return pinned
-
-
 def main(argv=None) -> int:
     """Run one command; BLAS stays pinned to one thread for the rest of the process."""
     parser = _build_parser()
@@ -477,8 +365,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     logging.basicConfig(level=logging.INFO if args.verbose else logging.WARNING,
                         format="%(levelname)s %(name)s: %(message)s")
-    args.one_blas_thread = _pin_blas_to_one_thread()
-    if not args.one_blas_thread:
+    if not parallel.pin_blas_to_one_thread():
         logger.info("found no OpenBLAS to pin to one thread; images are computed "
                     "in this process")
     try:

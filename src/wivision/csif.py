@@ -59,10 +59,14 @@ def packet_size_bytes(n_rx: int, n_tx: int, n_su: int) -> int:
 def write_csif(stream: CsiStream, path) -> None:
     """Serialize a stream; values are stored at float32 precision.
 
-    A value beyond the float32 range raises :class:`CsifFormatError` naming the
-    first packet at fault, before the file is opened.  The only memory this
-    holds is one block of records.
+    A negative timestamp, which the u64 field cannot hold, or a value beyond
+    the float32 range raises :class:`CsifFormatError` naming the first packet
+    at fault, before the file is opened.  The only memory this holds is one
+    block of records.
     """
+    if len(stream) and stream.timestamps_ns[0] < 0:  # the timestamps increase
+        raise CsifFormatError(f"packet 0: timestamp {stream.timestamps_ns[0]} is "
+                              "negative, and CSIF stores u64")
     geom = stream.geometry
     n_rx, n_tx, n_su = geom.n_rx, geom.n_tx, geom.n_subcarriers
     for dim, name in ((n_rx, "n_rx"), (n_tx, "n_tx"), (n_su, "n_su")):
@@ -104,8 +108,8 @@ def read_csif(path) -> CsiStream:
 
     The payload is read into one record array; the stream's tensors are its
     read-only complex64 field, not a copy.  A malformed header or layout block
-    raises :class:`CsifFormatError` naming the field, and a bad timestamp or a
-    non-finite value one naming the first packet at fault.
+    raises :class:`CsifFormatError` naming the field, and a timestamp beyond
+    int64 or out of order, or a non-finite value, one naming the first packet.
     """
     with open(path, "rb") as fh:
         head = fh.read(_HEADER.size)
@@ -149,6 +153,10 @@ def read_csif(path) -> CsiStream:
         packets = np.fromfile(fh, dtype=record, count=n_packets)
     if len(packets) != n_packets:  # the file shrank while it was read
         raise CsifFormatError(f"file truncated at packet {len(packets)}")
+    beyond = np.flatnonzero(packets["ts"] >= 1 << 63)
+    if beyond.size:
+        raise CsifFormatError(f"packet {beyond[0]}: timestamp {packets['ts'][beyond[0]]} "
+                              "is beyond the int64 range")
 
     try:  # the layout block's rx positions are checked here
         geometry = (default_geometry(cfg, n_rx=n_rx, n_tx=n_tx, n_subcarriers=n_su)

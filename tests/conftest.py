@@ -20,6 +20,7 @@ from wivision import (
     windows,
 )
 from wivision.imaging import enhance_track
+from wivision.parallel import fork_map, shared_zeros
 from wivision.stream import block_len
 
 
@@ -72,7 +73,8 @@ def mixed_scenes():
 def persona_track():
     """``make(cfg, geom, persona, seed, n_frames)``: the globally enhanced track
     of ``n_frames`` noiseless 100-packet windows, at stride 33, of one walking
-    persona, each imaged on a 4-point (tof, aod) grid around the persona."""
+    persona, each imaged on a 4-point (tof, aod) grid around the persona, on
+    every usable CPU as the commands image a capture."""
     scan = GridSpec(tof_grid_s=np.array([30e-9, 32e-9, 34e-9, 36e-9]),
                     aod_grid_deg=np.array([90.0]))
 
@@ -81,9 +83,13 @@ def persona_track():
         scene = human_walk_preset(persona, duration_s=duration, snr_db=math.inf,
                                   rng_seed=seed)
         shots = windows(simulate(scene, cfg, geom), 100, 33)
-        grids = [spectrum(noise_subspace_from_window(w), scan, cfg, geom).grid
-                 for w in shots]
-        track = SpectrumTrack(np.stack(grids), [w.timestamp_ns for w in shots],
+        grids = shared_zeros((len(shots), 180, 180))
+
+        def image(i):
+            grids[i] = spectrum(noise_subspace_from_window(shots[i]), scan, cfg, geom).grid
+
+        fork_map(image, range(len(shots)), blas=True)
+        track = SpectrumTrack(grids, [w.timestamp_ns for w in shots],
                               frame_rate_hz=1000 / 33)
         return enhance_track(track, floor_db=20.0, mode="global",
                              static_window=len(track))

@@ -1,7 +1,6 @@
 import argparse
 import ast
 import logging
-import mmap
 import os
 import re
 import struct
@@ -14,7 +13,8 @@ import numpy as np
 import pytest
 
 import wivision
-from wivision import cli, imaging, music
+from test_parallel import fail_fork, usable_cpus
+from wivision import cli, imaging, music, parallel
 from wivision.csif import _HEADER, packet_size_bytes, read_csif
 from wivision.export import write_spectrum_csv
 from wivision.scenefile import load_scene
@@ -167,8 +167,10 @@ def test_src_imports_are_used():
 def test_only_the_commands_import_the_simulator():
     """The simulator is the oracle the stages are checked against, so only the
     commands, the scene files and the package import it; the stream type the
-    stages share needs nothing of the package but the array model."""
-    imports = {}
+    stages share needs nothing of the package but the array model.  Likewise
+    the stages hold no process code: only the commands import ``parallel``,
+    which needs nothing of the package and alone forks."""
+    imports, forks = {}, set()
     for path in Path(wivision.__file__).parent.glob("*.py"):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         imports[path.stem] = set()
@@ -176,9 +178,15 @@ def test_only_the_commands_import_the_simulator():
             if isinstance(node, ast.ImportFrom) and node.level == 1:
                 imports[path.stem] |= ({node.module} if node.module else
                                        {a.name for a in node.names})
+            if (isinstance(node, ast.Attribute) and node.attr == "fork"
+                    and isinstance(node.value, ast.Name) and node.value.id == "os"):
+                forks.add(path.stem)
     assert sorted(m for m, names in imports.items() if "simulate" in names) == [
         "__init__", "cli", "scenefile"]
     assert imports["stream"] == {"arraymodel"}
+    assert sorted(m for m, names in imports.items() if "parallel" in names) == ["cli"]
+    assert imports["parallel"] == set()
+    assert forks == {"parallel"}
 
 
 def three_spectra(tmp_path):
@@ -198,8 +206,9 @@ class TestErrorReports:
             "wivision: input error: packet 3: tensor contains non-finite values\n")
 
     def test_timestamp_beyond_int64_is_2(self, scene_file, tmp_path, capsys):
-        """Packet 4's u64 timestamp 2**63 reads as -2**63, before packet 3,
-        although the int64 difference of the two wraps to a positive value."""
+        """Packet 4's u64 timestamp 2**63 is beyond int64: cast, it would read
+        as -2**63, and its int64 difference from packet 3 wraps to a positive
+        value."""
         path = tmp_path / "wrap.csif"
         assert run("simulate", "--scene", scene_file, "--out", path) == EXIT_OK
         raw = bytearray(path.read_bytes())
@@ -208,7 +217,7 @@ class TestErrorReports:
         path.write_bytes(bytes(raw))
         assert run("spectrum", "--in", path, "--out", tmp_path / "o") == EXIT_INPUT
         assert capsys.readouterr().err == ("wivision: input error: packet 4: timestamp "
-                                           f"{-2**63} is not after 3000000\n")
+                                           f"{2**63} is beyond the int64 range\n")
 
     @pytest.mark.parametrize("index, value, reason", [
         (0, np.inf, "header tx_spacing_m must be finite and positive, got inf"),
@@ -657,10 +666,6 @@ def test_pipeline_flag_matches_stage(stage, flag):
     assert spec("pipeline") == spec(stage)
 
 
-def usable_cpus(monkeypatch, n):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
-
-
 def run_pipeline(scene_file, out):
     return run("-v", "pipeline", "--scene", scene_file, "--out", out, *SCAN,
                "--static-window", 3, "--frames", 2)
@@ -672,39 +677,6 @@ def tree(root):
 
 
 class TestFrameWriter:
-    def test_processes(self, monkeypatch):
-        usable_cpus(monkeypatch, 4)
-        assert [cli._processes(n) for n in (0, 1, 2, 3, 10)] == [1, 1, 2, 3, 4]
-        usable_cpus(monkeypatch, 1)
-        assert cli._processes(10) == 1
-
-    @pytest.mark.parametrize("processes", [1, 2, 3])
-    def test_fork_map_order_and_first_failure(self, processes):
-        items = list(range(7))
-        squares = np.frombuffer(mmap.mmap(-1, 8 * len(items)), dtype=np.int64)
-
-        def square(x):
-            squares[x] = x * x
-
-        assert cli._fork_map(square, items, processes) is None
-        assert squares.tolist() == [x * x for x in items]
-
-        def fail_from_3(x):
-            if x >= 3:
-                raise ValueError(f"item {x}")
-            return x
-
-        # item 3 is this process's at 1 and 3 processes and a worker's at 2
-        with pytest.raises(ValueError, match="^item 3$") as failure:
-            cli._fork_map(fail_from_3, items, processes)
-        if processes == 2:
-            assert isinstance(failure.value.__cause__, cli._WorkerTraceback)
-            assert "in fail_from_3" in str(failure.value.__cause__)
-        if processes > 1:
-            # a worker that dies without returning its results
-            with pytest.raises(ChildProcessError, match="exited with status 3"):
-                cli._fork_map(lambda x: os._exit(3) if x == 1 else x, items, processes)
-
     @pytest.mark.parametrize("command", ["pipeline", "spectrum", "enhance",
                                          "spectrum_no_noise"])
     def test_workers_byte_identical(self, scene_file, tmp_path, monkeypatch, caplog,
@@ -729,11 +701,11 @@ class TestFrameWriter:
                if frames == 0 else "")
         caplog.set_level(logging.INFO, logger="wivision")
         # imaging is shared among processes only while OpenBLAS runs one thread
-        pinned = cli._pin_blas_to_one_thread()
+        pinned = parallel.pin_blas_to_one_thread()
         trees = []
         for cpus, pin in ((1, pinned), (2, pinned), (2, False)):
             usable_cpus(monkeypatch, cpus)
-            monkeypatch.setattr(cli, "_pin_blas_to_one_thread", lambda: pin)
+            monkeypatch.setattr(parallel, "pin_blas_to_one_thread", lambda: pin)
             caplog.clear()
             out = tmp_path / f"cpus{cpus}-{pin}"
             assert run("-v", command.split("_")[0], *argv, "--out", out) == (
@@ -771,7 +743,7 @@ class TestFrameWriter:
     def test_dead_worker_is_worker_failure(self, scene_file, tmp_path, monkeypatch,
                                            capsys):
         usable_cpus(monkeypatch, 2)
-        monkeypatch.setattr(cli, "_pin_blas_to_one_thread", lambda: True)
+        monkeypatch.setattr(parallel, "pin_blas_to_one_thread", lambda: True)
         spectrum, parent = music.spectrum, os.getpid()
 
         def die_in_worker(*args, **kwargs):
@@ -784,6 +756,18 @@ class TestFrameWriter:
         assert run_pipeline(scene_file, out) == EXIT_INPUT
         assert re.fullmatch(r"wivision: worker failure: worker process \d+ exited "
                             r"with status 7\n", capsys.readouterr().err)
+        assert not (out / "spectra").exists()
+
+    def test_failed_fork_is_worker_failure(self, scene_file, tmp_path, monkeypatch,
+                                           capsys):
+        usable_cpus(monkeypatch, 2)
+        monkeypatch.setattr(parallel, "pin_blas_to_one_thread", lambda: True)
+        fail_fork(monkeypatch, 0)
+        out = tmp_path / "run"
+        assert run_pipeline(scene_file, out) == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            "wivision: worker failure: worker 1 of 2 could not start: "
+            "[Errno 11] Resource temporarily unavailable\n")
         assert not (out / "spectra").exists()
 
     @pytest.mark.parametrize("cpus", [1, 2])

@@ -117,6 +117,33 @@ class TestCsif:
         with pytest.raises(CsifFormatError, match="timestamp"):
             read_csif(path)
 
+    @pytest.mark.parametrize("first", [0, 3])
+    def test_timestamp_beyond_int64_names_packet(self, stream, tmp_path, first):
+        """Packets ``first`` on lie at 2**63 + k * 10**6, increasing as u64; cast
+        to int64 they would read as increasing negative times."""
+        path = tmp_path / "late.csif"
+        write_csif(stream, path)
+        raw = bytearray(path.read_bytes())
+        per = packet_size_bytes(*stream.tensors.shape[1:])
+        for k in range(first, len(stream)):
+            struct.pack_into("<Q", raw, payload_offset(path, stream) + k * per,
+                             2**63 + k * 10**6)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CsifFormatError, match=(
+                f"^packet {first}: timestamp {2**63 + first * 10**6} is beyond the "
+                "int64 range$")):
+            read_csif(path)
+
+    def test_negative_timestamp_names_packet(self, stream, tmp_path):
+        """CSIF stores u64 timestamps, so a stream that starts before 0 is
+        refused before the file is opened, not wrapped."""
+        path = tmp_path / "early.csif"
+        early = replace(stream, timestamps_ns=stream.timestamps_ns - 5_000_000)
+        with pytest.raises(CsifFormatError, match=(
+                "^packet 0: timestamp -5000000 is negative, and CSIF stores u64$")):
+            write_csif(early, path)
+        assert not path.exists()
+
     def test_default_geometry_reconstruction(self, cfg, tmp_path):
         geom = ArrayGeometry.l_shaped(cfg.wavelength_m / 2.0)
         scene = Scene((ScenePath(PathHypothesis(90, 90)),), duration_s=0.002)
